@@ -9,7 +9,6 @@ trade no controllability guarantee for that robustness gain.
 
 from .augmentation import (
     AugmentationResult,
-    CliqueChain,
     LevelPartition,
     addable_edge_upper_bound,
     augment_intersection,
@@ -65,7 +64,6 @@ from .graphs import (
 
 __all__ = [
     "AugmentationResult",
-    "CliqueChain",
     "DisconnectedGraphError",
     "DistanceVector",
     "Edge",

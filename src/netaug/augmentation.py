@@ -16,17 +16,17 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
 
-from .controllability import PMISequence, distance_to_leader_vectors, is_pmi
+from .controllability import PMISequence, _check_leaders, is_pmi
 from .errors import DisconnectedGraphError, SizeGuardError
 from .graphs import Edge, Graph, bfs_distances, canonical_edge, complement_edges
 
 __all__ = [
     "LevelPartition",
-    "CliqueChain",
     "AugmentationResult",
     "classify_fixed_nodes",
     "level_partition",
@@ -57,14 +57,6 @@ class LevelPartition:
     @property
     def k(self) -> int:
         return len(self.levels) - 1
-
-
-@dataclass(frozen=True)
-class CliqueChain:
-    """A level partition plus all within-level and consecutive-level edges."""
-
-    partition: LevelPartition
-    edges: frozenset[Edge]
 
 
 @dataclass(frozen=True)
@@ -164,77 +156,56 @@ def level_partition(g: Graph, a: int, b: int) -> LevelPartition:
     return _build_levels(dist_a, dist_b, a, b, k)
 
 
-def _chain_edge_set(partition: LevelPartition) -> set[Edge]:
-    edges: set[Edge] = set()
-    levels = partition.levels
-    for i, level in enumerate(levels):
-        for idx, u in enumerate(level):
-            for v in level[idx + 1 :]:
-                edges.add((u, v))
-        if i + 1 < len(levels):
-            for u in level:
-                for w in levels[i + 1]:
-                    edges.add(canonical_edge(u, w))
-    return edges
-
-
-def build_clique_chain(partition: LevelPartition) -> CliqueChain:
+def build_clique_chain(partition: LevelPartition) -> frozenset[Edge]:
     """All within-level plus consecutive-level edges over the partition."""
-    return CliqueChain(partition=partition, edges=frozenset(_chain_edge_set(partition)))
+    levels = partition.levels
+    within = (e for level in levels for e in combinations(level, 2))
+    across = (
+        canonical_edge(u, w) for lo, hi in zip(levels, levels[1:]) for u in lo for w in hi
+    )
+    return frozenset(chain(within, across))
 
 
-def _pair_upper_bound(g: Graph, dist_a: list[int], dist_b: list[int], k: int) -> int:
-    comp = complement_edges(g)
-    forbidden = 0
-    for u, v in comp:
-        if (
-            dist_a[u] is not None
-            and dist_a[v] is not None
-            and dist_a[u] + dist_b[u] == k
-            and dist_a[v] + dist_b[v] == k
-            and abs(dist_a[u] - dist_a[v]) >= 2
-        ):
-            forbidden += 1
-    return len(comp) - forbidden
+def _upper_bound(g: Graph, dist: dict[int, list[int]], pairs: list[tuple[int, int]]) -> int:
+    """Missing edges that no monitored pair rules out.
+
+    A node pair is ruled out when both nodes lie on a common geodesic of a
+    monitored pair at depths two or more apart: adding it would create a
+    shortcut on that geodesic. Such a pair is never already an edge (the
+    edge would be that shortcut), so the complement is never enumerated.
+    """
+    forbidden: set[Edge] = set()
+    for a, b in pairs:
+        d_a, d_b = dist[a], dist[b]
+        k = d_a[b]
+        levels: list[list[int]] = [[] for _ in range(k + 1)]
+        for v in range(g.n):
+            if d_a[v] + d_b[v] == k:
+                levels[d_a[v]].append(v)
+        for i, lo in enumerate(levels):
+            for hi in levels[i + 2 :]:
+                forbidden.update(canonical_edge(u, w) for u in lo for w in hi)
+    return g.n * (g.n - 1) // 2 - g.num_edges() - len(forbidden)
 
 
 def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
     """Maximal edge addition preserving the distance between one node pair.
 
-    For adjacent pairs the answer is the complete graph; otherwise the chain
-    of cliques over the level partition. Runs in time linear in the graph
-    plus the output size.
+    The answer is the chain of cliques over the level partition, which is the
+    complete graph for an adjacent pair; every node must be reachable from
+    the pair. Runs in time linear in the graph plus the output size.
     """
     start = time.perf_counter()
     dist_a, dist_b, k = _pair_distances(g, a, b)
-    if k == 1:
-        edges_after = frozenset(
-            (u, v) for u in range(g.n) for v in range(u + 1, g.n)
-        )
-    else:
-        edges_after = build_clique_chain(_build_levels(dist_a, dist_b, a, b, k)).edges
+    edges_after = build_clique_chain(_build_levels(dist_a, dist_b, a, b, k))
     return AugmentationResult(
         algorithm="clique-chain",
         edges_before=g.edges,
         edges_after=edges_after,
         added=frozenset(edges_after - g.edges),
-        upper_bound_addable=_pair_upper_bound(g, dist_a, dist_b, k),
+        upper_bound_addable=_upper_bound(g, {a: dist_a, b: dist_b}, [(a, b)]),
         runtime_ms=(time.perf_counter() - start) * 1000.0,
     )
-
-
-def _bfs_on(adj: list[set[int]], source: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
 
 
 def augment_pair_brute_force(g: Graph, a: int, b: int) -> tuple[int, frozenset[Edge]]:
@@ -248,6 +219,8 @@ def augment_pair_brute_force(g: Graph, a: int, b: int) -> tuple[int, frozenset[E
         raise SizeGuardError(
             f"brute force is limited to n <= {BRUTE_FORCE_GUARD}, got n={g.n}"
         )
+    # The chain solution is the incumbent; building it rejects unreachable nodes.
+    best: list[Edge] = sorted(augment_pair(g, a, b).added)
     dist_a, dist_b, k = _pair_distances(g, a, b)
 
     def single_edge_ok(edge: Edge, da: list[int], db: list[int]) -> bool:
@@ -257,10 +230,8 @@ def augment_pair_brute_force(g: Graph, a: int, b: int) -> tuple[int, frozenset[E
     candidates = [
         e for e in sorted(complement_edges(g)) if single_edge_ok(e, dist_a, dist_b)
     ]
-    best: list[Edge] = sorted(augment_pair(g, a, b).added)
-    adj = [set(s) for s in g.adjacency]
 
-    def dfs(accepted: list[Edge], cands: list[Edge], da: list[int], db: list[int]):
+    def dfs(accepted: list[Edge], cands: list[Edge]):
         nonlocal best
         if len(accepted) + len(cands) <= len(best):
             return
@@ -268,45 +239,45 @@ def augment_pair_brute_force(g: Graph, a: int, b: int) -> tuple[int, frozenset[E
             best = list(accepted)
             return
         edge, rest = cands[0], cands[1:]
-        u, v = edge
-        adj[u].add(v)
-        adj[v].add(u)
-        da2, db2 = _bfs_on(adj, a), _bfs_on(adj, b)
         accepted.append(edge)
-        dfs(accepted, [f for f in rest if single_edge_ok(f, da2, db2)], da2, db2)
+        h = g.add_edges(accepted)
+        da, db = bfs_distances(h, a), bfs_distances(h, b)
+        dfs(accepted, [f for f in rest if single_edge_ok(f, da, db)])  # type: ignore[arg-type]
         accepted.pop()
-        adj[u].remove(v)
-        adj[v].remove(u)
-        dfs(accepted, rest, da, db)
+        dfs(accepted, rest)
 
-    dfs([], candidates, dist_a, dist_b)  # type: ignore[arg-type]
+    dfs([], candidates)
     edges_after = frozenset(g.edges | set(best))
     return len(edges_after), edges_after
 
 
-def _validated_pairs(
+def _instance(
     g: Graph, leaders: Sequence[int], pmi: PMISequence
-) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """Check the PMI sequence against the graph; return leaders and monitored pairs."""
-    leaders = tuple(leaders)
-    actual = distance_to_leader_vectors(g, leaders)  # validates leaders/connectivity
-    seen: set[int] = set()
+) -> tuple[list[tuple[int, int]], dict[int, list[int]]]:
+    """Check the PMI sequence against the graph, once per augmenter call.
+
+    Returns the monitored (leader, PMI node) pairs and one BFS distance array
+    per source (leaders and PMI nodes).
+    """
+    leaders = _check_leaders(g, leaders)
+    nodes = pmi.nodes()
+    # bfs_distances rejects out-of-range nodes; is_pmi rejects a repeated
+    # node, whose two equal vectors admit no witness.
+    dist = {s: bfs_distances(g, s) for s in set(leaders) | set(nodes)}
+    if any(None in d for d in dist.values()):
+        raise DisconnectedGraphError("distance-to-leader vectors need a connected graph")
     for dv in pmi.vectors:
-        if not (0 <= dv.node < g.n):
-            raise ValueError(f"PMI node {dv.node} out of range for n={g.n}")
-        if dv.node in seen:
-            raise ValueError(f"PMI node {dv.node} listed twice")
-        seen.add(dv.node)
-        if dv.dist != actual[dv.node].dist:
+        actual = tuple(dist[ell][dv.node] for ell in leaders)
+        if dv.dist != actual:
             raise ValueError(
                 f"PMI vector for node {dv.node} does not match the graph: "
-                f"{dv.dist} vs {actual[dv.node].dist}"
+                f"{dv.dist} vs {actual}"
             )
     check = is_pmi(pmi.raw_vectors())
     if not check.ok:
         raise ValueError(f"sequence is not PMI, violation at positions {check.violation}")
-    pairs = [(ell, v) for ell in leaders for v in pmi.nodes() if ell != v]
-    return leaders, pairs
+    pairs = [(ell, v) for ell in leaders for v in nodes if ell != v]
+    return pairs, dist  # type: ignore[return-value]
 
 
 def addable_edge_upper_bound(g: Graph, leaders: Sequence[int], pmi: PMISequence) -> int:
@@ -316,24 +287,8 @@ def addable_edge_upper_bound(g: Graph, leaders: Sequence[int], pmi: PMISequence)
     path from a leader to a monitored node at depths two or more apart:
     adding it would create a shortcut on that path.
     """
-    leaders, pairs = _validated_pairs(g, leaders, pmi)
-    dist: dict[int, list[int]] = {}
-    for node in set(leaders) | set(pmi.nodes()):
-        dist[node] = bfs_distances(g, node)  # type: ignore[assignment]
-    comp = complement_edges(g)
-    forbidden = 0
-    for u, v in comp:
-        for ell, x in pairs:
-            d_ell, d_x = dist[ell], dist[x]
-            span = d_ell[x]
-            if (
-                d_ell[u] + d_x[u] == span
-                and d_ell[v] + d_x[v] == span
-                and abs(d_ell[u] - d_ell[v]) >= 2
-            ):
-                forbidden += 1
-                break
-    return len(comp) - forbidden
+    pairs, dist = _instance(g, leaders, pmi)
+    return _upper_bound(g, dist, pairs)
 
 
 def augment_intersection(
@@ -347,28 +302,19 @@ def augment_intersection(
     leader) the result is the complete graph.
     """
     start = time.perf_counter()
-    leaders, pairs = _validated_pairs(g, leaders, pmi)
+    pairs, dist = _instance(g, leaders, pmi)
     current = {(u, v) for u in range(g.n) for v in range(u + 1, g.n)}
-    dist_cache: dict[int, list[int]] = {}
-
-    def cached(node: int) -> list[int]:
-        if node not in dist_cache:
-            dist_cache[node] = bfs_distances(g, node)  # type: ignore[assignment]
-        return dist_cache[node]
-
     for ell, v in pairs:
-        d_ell = cached(ell)
-        k = d_ell[v]
+        k = dist[ell][v]
         if k == 1:
             continue  # adjacent pair constrains nothing
-        part = _build_levels(d_ell, cached(v), ell, v, k)
-        current &= _chain_edge_set(part)
+        current &= build_clique_chain(_build_levels(dist[ell], dist[v], ell, v, k))
     return AugmentationResult(
         algorithm="intersection",
         edges_before=g.edges,
         edges_after=frozenset(current),
         added=frozenset(current - g.edges),
-        upper_bound_addable=addable_edge_upper_bound(g, leaders, pmi),
+        upper_bound_addable=_upper_bound(g, dist, pairs),
         pmi_length=len(pmi),
         runtime_ms=(time.perf_counter() - start) * 1000.0,
     )
@@ -414,20 +360,16 @@ def augment_randomized(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     start = time.perf_counter()
-    leaders, pairs = _validated_pairs(g, leaders, pmi)
-    sources = sorted(set(leaders) | set(pmi.nodes()))
-    base_dist = {s: bfs_distances(g, s) for s in sources}
-    original = {
-        (ell, v): base_dist[ell][v] for ell, v in pairs
-    }
+    pairs, base_dist = _instance(g, leaders, pmi)
+    original = {(ell, v): base_dist[ell][v] for ell, v in pairs}
     comp = sorted(complement_edges(g))
 
-    best_added: list[Edge] | None = None
+    best_added: list[Edge] = []
     for rep in range(repetitions):
         rng = np.random.default_rng([seed, rep])
         order = [comp[i] for i in rng.permutation(len(comp))]
         adj = [set(s) for s in g.adjacency]
-        dist = {s: list(base_dist[s]) for s in sources}
+        dist = {s: list(d) for s, d in base_dist.items()}
         added: list[Edge] = []
         for x, y in order:
             ok = True
@@ -441,18 +383,17 @@ def augment_randomized(
                 adj[x].add(y)
                 adj[y].add(x)
                 added.append((x, y))
-                for s in sources:
-                    _relax_insert(adj, dist[s], x, y)
-        if best_added is None or len(added) > len(best_added):
+                for d in dist.values():
+                    _relax_insert(adj, d, x, y)
+        if len(added) > len(best_added):
             best_added = added
-    assert best_added is not None
     edges_after = frozenset(g.edges | set(best_added))
     return AugmentationResult(
         algorithm="randomized",
         edges_before=g.edges,
         edges_after=edges_after,
         added=frozenset(best_added),
-        upper_bound_addable=addable_edge_upper_bound(g, leaders, pmi),
+        upper_bound_addable=_upper_bound(g, base_dist, pairs),
         pmi_length=len(pmi),
         seed=seed,
         repetitions=repetitions,

@@ -3,7 +3,7 @@
 Subcommands: ``gen`` (random graph to edge-list file), ``pmi`` (PMI sequence
 as JSON), ``augment`` (run one augmenter, JSON result), ``validate`` (random
 weight rank check, JSON report), ``experiment`` (ensemble study, CSV).
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error (bad values or input fields), 2 usage error.
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ def _read_graph(path: str):
         return parse_edge_list(handle.read())
 
 
+def _read_json(path: str, loader):
+    """``loader`` applied to the JSON in ``path``; a missing field is a domain error."""
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    try:
+        return loader(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+
+
 def _pmi_for(graph, leaders, method: str):
     return pmi_exact(graph, leaders) if method == "exact" else pmi_greedy(graph, leaders)
 
@@ -67,8 +77,7 @@ def _cmd_pmi(args) -> int:
 def _cmd_augment(args) -> int:
     graph = _read_graph(args.graph)
     if args.pmi is not None:
-        with open(args.pmi, "r", encoding="utf-8") as handle:
-            seq = PMISequence.from_json(json.load(handle))
+        seq = _read_json(args.pmi, PMISequence.from_json)
     else:
         seq = _pmi_for(graph, args.leaders, args.pmi_method)
     if args.algorithm == "intersect":
@@ -97,8 +106,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
-        config = ExperimentConfig.from_json(json.load(handle))
+    config = _read_json(args.config, ExperimentConfig.from_json)
     if args.full:
         config = dataclasses.replace(config, instances=100, repetitions=150)
     if args.time:
@@ -176,7 +184,7 @@ def cli(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -186,3 +194,7 @@ def cli(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -16,7 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, SizeGuardError
-from .graphs import Graph, WeightAssignment, bfs_distances, weighted_laplacian
+from .graphs import (
+    Graph,
+    WeightAssignment,
+    bfs_distances,
+    is_connected,
+    unit_weights,
+    weighted_laplacian,
+)
 
 __all__ = [
     "DistanceVector",
@@ -164,13 +171,6 @@ def _distinct_vectors(g: Graph, leaders: Sequence[int]) -> dict[tuple[int, ...],
     return rep
 
 
-def _witnesses_for(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Smallest valid witness per position (position is known to admit one)."""
-    check = is_pmi(vecs)
-    assert check.ok and check.witnesses is not None
-    return check.witnesses
-
-
 def pmi_exact(g: Graph, leaders: Sequence[int]) -> PMISequence:
     """Longest PMI sequence by exhaustive search; certificate-quality but small-only.
 
@@ -227,7 +227,9 @@ def pmi_exact(g: Graph, leaders: Sequence[int]) -> PMISequence:
                 break
     order = [vectors[idx] for idx in reversed(reversed_pick)]
     chosen = tuple(DistanceVector(rep[vec], vec) for vec in order)
-    return PMISequence(chosen, _witnesses_for(order))
+    check = is_pmi(order)  # smallest witness per position; the search built a PMI run
+    assert check.ok and check.witnesses is not None
+    return PMISequence(chosen, check.witnesses)
 
 
 def pmi_greedy(g: Graph, leaders: Sequence[int]) -> PMISequence:
@@ -354,7 +356,7 @@ def validate_ssc_bound(
         raise ValueError(f"claimed bound must be >= 1, got {bound}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if None in bfs_distances(g, 0):
+    if not is_connected(g):
         raise DisconnectedGraphError("rank validation needs a connected graph")
     mat_b = input_matrix(g.n, leaders)
     ranks: list[int] = []
@@ -387,12 +389,7 @@ def kirchhoff_index(g: Graph) -> float:
     """
     if g.n == 1:
         return 0.0
-    lap = np.zeros((g.n, g.n), dtype=float)
-    for u, v in g.edges:
-        lap[u, v] = lap[v, u] = -1.0
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-    eigenvalues = np.linalg.eigvalsh(lap)
+    eigenvalues = np.linalg.eigvalsh(weighted_laplacian(g, unit_weights(g)))
     if eigenvalues[1] <= 1e-9:
         raise DisconnectedGraphError("Kirchhoff index needs a connected graph")
     return float(np.sum(1.0 / eigenvalues[1:]))

@@ -74,10 +74,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        # Numbers only, kept uncast: trial_seed hashes each parameter's repr.
+        parameters = tuple(data["parameters"])
+        for value in parameters:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"parameters must be numbers, got {value!r}")
         return cls(
             model=data["model"],
             n=int(data["n"]),
-            parameters=tuple(data["parameters"]),
+            parameters=parameters,
             leader_counts=tuple(int(x) for x in data["leader_counts"]),
             instances=int(data.get("instances", 20)),
             repetitions=int(data.get("repetitions", 30)),

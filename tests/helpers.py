@@ -42,6 +42,25 @@ def all_pairs_min_plus(g: Graph) -> np.ndarray:
     return dist
 
 
+def addable_edge_bound_oracle(g: Graph, pairs) -> int:
+    """Missing edges that no (a, b) in ``pairs`` rules out, by scanning every
+    node pair against (min, +) distances: a pair is ruled out when both
+    nodes sit on an a-b geodesic at depths two or more apart."""
+    dist = all_pairs_min_plus(g)
+    addable = 0
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if dist[u, v] == 1:
+                continue
+            addable += not any(
+                dist[a, u] + dist[u, b] == dist[a, b]
+                and dist[a, v] + dist[v, b] == dist[a, b]
+                and abs(dist[a, u] - dist[a, v]) >= 2
+                for a, b in pairs
+            )
+    return addable
+
+
 def brute_pmi_length(vectors) -> int:
     """Longest PMI run by forward extension over all orderings of all subsets."""
     distinct = sorted(set(tuple(v) for v in vectors))

@@ -5,7 +5,9 @@ import pytest
 
 from netaug import (
     DisconnectedGraphError,
+    DistanceVector,
     Graph,
+    PMISequence,
     SizeGuardError,
     addable_edge_upper_bound,
     augment_intersection,
@@ -24,6 +26,7 @@ from netaug import (
     success_probability_bound,
 )
 from helpers import (
+    addable_edge_bound_oracle,
     complete_graph,
     cycle_graph,
     full_subset_pair_optimum,
@@ -95,12 +98,12 @@ class TestLevelPartition:
             g = random_connected_graph(8, 0.35, seed=seed + 60)
             part = level_partition(g, 0, 7)
             chain = build_clique_chain(part)
-            assert g.edges <= chain.edges
+            assert g.edges <= chain
             sizes = [len(level) for level in part.levels]
             expected = sum(s * (s - 1) // 2 for s in sizes) + sum(
                 sizes[i] * sizes[i + 1] for i in range(len(sizes) - 1)
             )
-            assert len(chain.edges) == expected
+            assert len(chain) == expected
 
 
 class TestAugmentPair:
@@ -141,6 +144,12 @@ class TestAugmentPair:
     def test_unreachable_pair(self):
         with pytest.raises(DisconnectedGraphError):
             augment_pair(Graph(4, [(0, 1), (2, 3)]), 0, 3)
+
+    def test_node_unreachable_from_pair(self):
+        for g, b in ((Graph(4, [(0, 1), (1, 2)]), 2), (Graph(3, [(0, 1)]), 1)):
+            for solve in (augment_pair, augment_pair_brute_force):
+                with pytest.raises(DisconnectedGraphError):
+                    solve(g, 0, b)
 
 
 class TestBruteForce:
@@ -198,7 +207,7 @@ class TestBruteForce:
             levels = [tuple(sorted(v for v in range(6) if da[v] == i)) for i in range(k + 1)]
             chain = build_clique_chain(level_partition(best, 0, b))
             assert level_partition(best, 0, b).levels == tuple(levels)
-            assert chain.edges == edges
+            assert chain == edges
 
 
 def pmi_setup(g, leaders):
@@ -332,6 +341,27 @@ class TestUpperBound:
             res_r = augment_randomized(g, leaders, seq, seed=seed, repetitions=2)
             assert len(res_i.added) <= bound
             assert len(res_r.added) <= bound
+
+    def test_matches_oracle(self):
+        for seed in range(8):
+            g = random_connected_graph(14, 0.15 + 0.03 * seed, seed=seed + 950)
+            leaders = (0, 5, 9)
+            seq = pmi_setup(g, leaders)
+            pairs = [(ell, v) for ell in leaders for v in seq.nodes() if ell != v]
+            bound = addable_edge_upper_bound(g, leaders, seq)
+            assert bound == addable_edge_bound_oracle(g, pairs)
+            dist = bfs_distances(g, 0)
+            b = max(range(g.n), key=lambda v: dist[v])
+            assert augment_pair(g, 0, b).upper_bound_addable == addable_edge_bound_oracle(
+                g, [(0, b)]
+            )
+
+    def test_disconnected_input_rejected(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        seq = PMISequence((DistanceVector(0, (0,)), DistanceVector(1, (1,))), (0, 0))
+        for run in (augment_intersection, augment_randomized, addable_edge_upper_bound):
+            with pytest.raises(DisconnectedGraphError):
+                run(g, (0,), seq)
 
 
 class TestKirchhoffAfterAugmentation:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import netaug
 from netaug import PMISequence, parse_edge_list
 from netaug.cli import cli
 
@@ -173,3 +177,29 @@ class TestExitCodes:
         path = tmp_path / "bad.txt"
         path.write_text("n 2\n0 0\n")
         assert cli(["augment", "-g", str(path), "--leaders", "0"]) == 1
+
+    def test_directory_as_graph_is_usage_error(self, tmp_path):
+        assert cli(["pmi", "-g", str(tmp_path), "--leaders", "0"]) == 2
+
+    def test_config_missing_field_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 8, "parameters": [0.5], "leader_counts": [2]}))
+        assert cli(["experiment", "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "missing field 'model'" in err and err.count("\n") == 1
+
+    def test_pmi_entry_missing_field_is_domain_error(self, star6, tmp_path, capsys):
+        pmi_file = tmp_path / "pmi.json"
+        pmi_file.write_text(json.dumps([{"node": 0, "witness": 0}]))
+        assert cli(["augment", "-g", star6, "--leaders", "0", "--pmi", str(pmi_file)]) == 1
+        err = capsys.readouterr().err
+        assert "missing field 'vector'" in err and err.count("\n") == 1
+
+    def test_module_entry_point_runs_main(self):
+        src = os.path.dirname(os.path.dirname(netaug.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "netaug.cli", "frobnicate"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2

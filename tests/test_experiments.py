@@ -50,6 +50,13 @@ class TestConfig:
         assert config.instances == 20 and config.repetitions == 30
         assert config.resample_until_connected and not config.measure_runtime
 
+    def test_json_non_numeric_parameters_rejected(self):
+        for bad in ("0.3", True, None):
+            with pytest.raises(ValueError, match="parameters must be numbers"):
+                ExperimentConfig.from_json(
+                    {"model": "erdos-renyi", "n": 5, "parameters": [bad], "leader_counts": [1]}
+                )
+
 
 class TestTrialSeed:
     def test_frozen_value(self):
