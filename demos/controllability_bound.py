@@ -2,8 +2,9 @@
 """Show the full bound-preserving pipeline on one network.
 
 Computes a PMI sequence for randomly placed leaders, densifies the graph
-with both algorithms, then verifies numerically that the rank bound holds
-under random edge weights and that robustness (Kirchhoff index) improved.
+with both algorithms, then verifies with exact modular ranks that the rank
+bound holds under random edge weights and that robustness (Kirchhoff index)
+improved.
 """
 
 import numpy as np

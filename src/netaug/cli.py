@@ -40,13 +40,16 @@ def _read_graph(path: str):
 
 
 def _read_json(path: str, loader):
-    """``loader`` applied to the JSON in ``path``; a missing field is a domain error."""
+    """``loader`` applied to the JSON in ``path``; a missing field or a value
+    of the wrong shape is a domain error."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     try:
         return loader(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: wrong JSON shape: {exc}") from None
 
 
 def _pmi_for(graph, leaders, method: str):

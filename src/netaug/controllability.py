@@ -4,8 +4,8 @@ The central object is a sequence of distance-to-leader vectors that is
 *pseudo-monotonically increasing* (PMI): every element has a coordinate on
 which all later elements are strictly larger. The length of such a sequence
 lower-bounds the dimension of the strong structurally controllable subspace
-for every choice of positive edge weights, which this module checks
-numerically through controllability-matrix ranks.
+for every choice of positive edge weights, which this module checks through
+controllability-matrix ranks taken exactly modulo a prime.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DisconnectedGraphError, SizeGuardError
 from .graphs import (
     Graph,
-    WeightAssignment,
     bfs_distances,
     is_connected,
     unit_weights,
@@ -43,11 +42,8 @@ __all__ = [
 #: Exhaustive PMI search refuses instances with more distinct vectors than this.
 PMI_EXACT_GUARD = 20
 
-#: Random-weight validation samples log-uniformly from this range.
-WEIGHT_RANGE = (0.1, 10.0)
-
-#: Singular values below this fraction of the largest count as zero.
-RANK_TOLERANCE = 1e-9
+#: Ranks are exact modulo this prime; below 2**31, a product of two residues fits in int64.
+_PRIME = 2_147_483_629
 
 
 @dataclass(frozen=True)
@@ -276,32 +272,57 @@ def input_matrix(n: int, leaders: Sequence[int]) -> np.ndarray:
     return mat
 
 
-def controllability_rank(
-    laplacian: np.ndarray, inputs: np.ndarray, tolerance: float = RANK_TOLERANCE
-) -> int:
-    """Numerical rank of ``[B, -LB, (-L)^2 B, ..., (-L)^(n-1) B]``.
+def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
+    """``a @ b`` mod ``prime``; 16-bit halves of ``a`` keep int64 sums exact for inner dim < 2**16.
+    Every call has the smaller matrix on the left, so splitting it is the cheap side."""
+    high = ((a >> 16) @ b) % prime
+    return ((high << 16) + ((a & 0xFFFF) @ b) % prime) % prime
 
-    The Laplacian is scaled by its max row sum before taking powers; that
-    rescales whole column blocks by positive constants, which leaves the rank
-    unchanged while keeping ``tolerance * sigma_max`` meaningful for large n.
-    """
-    lap = np.asarray(laplacian, dtype=float)
-    mat_b = np.asarray(inputs, dtype=float)
+
+def _residues(matrix: np.ndarray, prime: int) -> np.ndarray:
+    arr = np.asarray(matrix)
+    if arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        arr = np.fmod(arr, prime)
+    elif arr.dtype.kind not in "biu":
+        raise ValueError("controllability_rank needs integer-valued matrices")
+    return arr.astype(np.int64) % prime
+
+
+def _rank_mod(laplacian: np.ndarray, inputs: np.ndarray, prime: int) -> int:
+    """Krylov dimension of ``inputs`` under ``-laplacian`` mod ``prime``, one block at a
+    time: reduce the block against the RREF basis, eliminate within it, step its new rows."""
+    lap, mat_b = _residues(laplacian, prime), _residues(inputs, prime)
     n = lap.shape[0]
     if lap.shape != (n, n) or mat_b.ndim != 2 or mat_b.shape[0] != n:
-        raise ValueError(
-            f"dimension mismatch: laplacian {lap.shape}, inputs {mat_b.shape}"
-        )
-    scale = max(1.0, float(np.abs(lap).sum(axis=1).max()))
-    step = -lap / scale
-    blocks = [mat_b]
-    for _ in range(n - 1):
-        blocks.append(step @ blocks[-1])
-    gamma = np.hstack(blocks)
-    singular = np.linalg.svd(gamma, compute_uv=False)
-    if singular.size == 0 or singular[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(singular > tolerance * singular[0]))
+        raise ValueError(f"dimension mismatch: laplacian {lap.shape}, inputs {mat_b.shape}")
+    step, block = -lap.T % prime, mat_b.T
+    basis, pivots = np.zeros((0, n), dtype=np.int64), []
+    while True:
+        block = (block - _mulmod(block[:, pivots], basis, prime)) % prime
+        rows, new_pivots = [], []
+        for row in block:
+            for col, done in zip(new_pivots, rows):
+                row = (row - row[col] * done) % prime
+            nonzero = np.flatnonzero(row)
+            if nonzero.size:
+                col = int(nonzero[0])
+                row = row * pow(int(row[col]), prime - 2, prime) % prime
+                rows = [(done - done[col] * row) % prime for done in rows] + [row]
+                new_pivots.append(col)
+        if not rows:
+            return len(pivots)
+        block = np.array(rows)
+        basis = np.vstack([(basis - _mulmod(basis[:, new_pivots], block, prime)) % prime, block])
+        pivots += new_pivots
+        block = _mulmod(block, step, prime)
+
+
+def controllability_rank(laplacian: np.ndarray, inputs: np.ndarray) -> int:
+    """Rank of ``[B, -LB, (-L)^2 B, ..., (-L)^(n-1) B]`` modulo a prime near 2**31.
+
+    Takes integer-valued matrices (``ValueError`` otherwise). The rank mod p never
+    exceeds the rational rank, so the result is a proved lower bound on it."""
+    return _rank_mod(laplacian, inputs, _PRIME)
 
 
 @dataclass(frozen=True)
@@ -313,7 +334,7 @@ class RankValidationReport:
     min_rank: int
     passed: bool
     ranks: tuple[int, ...]
-    failing_weights: tuple[tuple[int, int, float], ...] | None = None
+    failing_weights: tuple[tuple[int, int, int], ...] | None = None
 
     def to_json(self) -> dict:
         return {
@@ -328,28 +349,19 @@ class RankValidationReport:
         }
 
 
-def _sample_weights(g: Graph, rng: np.random.Generator) -> WeightAssignment:
-    lo, hi = np.log10(WEIGHT_RANGE[0]), np.log10(WEIGHT_RANGE[1])
-    edges = g.sorted_edges()
-    values = 10.0 ** rng.uniform(lo, hi, size=len(edges))
-    return {e: float(w) for e, w in zip(edges, values)}
-
-
 def validate_ssc_bound(
     g: Graph,
     leaders: Sequence[int],
     bound: int,
     trials: int = 25,
     seed: int = 0,
-    tolerance: float = RANK_TOLERANCE,
 ) -> RankValidationReport:
     """Check that the controllability rank stays >= ``bound`` under random weights.
 
-    Draws ``trials`` independent weight assignments, log-uniform over
-    ``WEIGHT_RANGE`` (stream ``default_rng([seed, trial])`` per trial, so
-    trials are order-independent). A failure report carries the offending
-    sample; since the bound holds for *all* positive weights, a failure
-    indicates an implementation bug rather than an unlucky draw.
+    Each trial draws integer edge weights uniform on ``[1, p)`` from stream
+    ``default_rng([seed, trial])`` and takes the rank exactly mod p, so a pass proves
+    the bound for those weights; a shortfall is re-checked with a second prime. The
+    bound holds for *all* positive weights, so a failure indicates an implementation bug.
     """
     leaders = _check_leaders(g, leaders)
     if bound < 1:
@@ -359,15 +371,20 @@ def validate_ssc_bound(
     if not is_connected(g):
         raise DisconnectedGraphError("rank validation needs a connected graph")
     mat_b = input_matrix(g.n, leaders)
+    u, v = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2).T
     ranks: list[int] = []
-    failing: WeightAssignment | None = None
+    failing: np.ndarray | None = None
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        weights = _sample_weights(g, rng)
-        rank = controllability_rank(weighted_laplacian(g, weights), mat_b, tolerance)
-        ranks.append(rank)
+        weights = np.random.default_rng([seed, trial]).integers(1, _PRIME, size=u.size)
+        lap = np.zeros((g.n, g.n), dtype=np.int64)
+        lap[u, v] = lap[v, u] = -weights
+        np.fill_diagonal(lap, -lap.sum(axis=1))
+        rank = _rank_mod(lap, mat_b, _PRIME)
+        if rank < bound:  # both ranks are proved lower bounds; 2**31 - 1 is prime
+            rank = max(rank, _rank_mod(lap, mat_b, 2**31 - 1))
         if rank < bound and failing is None:
             failing = weights
+        ranks.append(rank)
     min_rank = min(ranks)
     return RankValidationReport(
         claimed_bound=bound,
@@ -375,9 +392,7 @@ def validate_ssc_bound(
         min_rank=min_rank,
         passed=min_rank >= bound,
         ranks=tuple(ranks),
-        failing_weights=None
-        if failing is None
-        else tuple((u, v, w) for (u, v), w in sorted(failing.items())),
+        failing_weights=None if failing is None else tuple(zip(u.tolist(), v.tolist(), failing.tolist())),
     )
 
 

@@ -2,11 +2,14 @@
 
 The oracles here deliberately take different routes than the library code
 (forward enumeration vs backward memo search, full-subset scans vs pruned
-DFS, pseudo-inverse resistances vs eigenvalue sums) so they can catch bugs
-in the implementations they check.
+DFS, pseudo-inverse resistances vs eigenvalue sums, rational elimination vs
+modular Krylov blocks) so they can catch bugs in the implementations they
+check.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -132,6 +135,30 @@ def effective_resistance_total(g: Graph) -> float:
         for v in range(u + 1, g.n):
             total += pinv[u, u] + pinv[v, v] - 2 * pinv[u, v]
     return total
+
+
+def krylov_rank_oracle(laplacian, inputs) -> int:
+    """Rational rank of ``[B, -LB, ..., (-L)^(n-1) B]`` for integer matrices:
+    Python-int matrix powers, then Gaussian elimination over ``Fraction``."""
+    lap = [[int(x) for x in row] for row in np.asarray(laplacian).tolist()]
+    n = len(lap)
+    cols = [[int(x) for x in col] for col in np.asarray(inputs).T.tolist()]
+    gamma = list(cols)
+    for _ in range(n - 1):
+        cols = [[-sum(lap[i][k] * col[k] for k in range(n)) for i in range(n)] for col in cols]
+        gamma += cols
+    rows = [[Fraction(x) for x in col] for col in gamma]  # rank of the transpose
+    rank = 0
+    for c in range(n):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][c] / rows[rank][c]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def path_graph(n: int) -> Graph:

@@ -195,6 +195,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "missing field 'vector'" in err and err.count("\n") == 1
 
+    def test_config_parameters_of_wrong_shape_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": 0.3, "leader_counts": [2]}))
+        assert cli(["experiment", "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("payload", [{"node": 0}, [1, 2]], ids=["object", "int-list"])
+    def test_pmi_file_of_wrong_shape_is_domain_error(self, star6, tmp_path, capsys, payload):
+        pmi_file = tmp_path / "pmi.json"
+        pmi_file.write_text(json.dumps(payload))
+        assert cli(["augment", "-g", star6, "--leaders", "0", "--pmi", str(pmi_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pmi_file}: ") and err.count("\n") == 1
+
     def test_module_entry_point_runs_main(self):
         src = os.path.dirname(os.path.dirname(netaug.__file__))
         env = dict(os.environ, PYTHONPATH=src)

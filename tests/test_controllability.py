@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netaug import (
     DisconnectedGraphError,
@@ -7,6 +9,8 @@ from netaug import (
     Graph,
     PMISequence,
     SizeGuardError,
+    augment_intersection,
+    augment_randomized,
     controllability_rank,
     distance_to_leader_vectors,
     erdos_renyi,
@@ -23,6 +27,7 @@ from helpers import (
     brute_pmi_length,
     complete_graph,
     effective_resistance_total,
+    krylov_rank_oracle,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -168,6 +173,27 @@ class TestControllabilityRank:
         with pytest.raises(ValueError):
             controllability_rank(np.eye(3), np.ones((4, 1)))
 
+    def test_deficiency_hidden_by_a_change_of_basis(self):
+        # L = S M S^-1 with M block upper triangular and B = S [B1; 0]: the Krylov
+        # space has dimension k < n. Full-size residues meet in every product, so
+        # an overflowing modular product shows up as a rank above k.
+        rng = np.random.default_rng(5)
+        n, k = 12, 7
+        lower = np.tril(rng.integers(-2, 3, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+        upper = np.triu(rng.integers(-2, 3, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+        s, s_inv = lower @ upper, np.rint(np.linalg.inv(upper) @ np.linalg.inv(lower)).astype(np.int64)
+        assert (s @ s_inv == np.eye(n)).all()
+        m = rng.integers(-3, 4, size=(n, n))
+        m[k:, :k] = 0
+        inputs = s @ np.vstack([rng.integers(-3, 4, size=(k, 1)), np.zeros((n - k, 1), dtype=np.int64)])
+        lap = s @ m @ s_inv
+        assert controllability_rank(lap, inputs) == krylov_rank_oracle(lap, inputs) == k
+
+    def test_non_integral_entry_rejected(self):
+        lap = weighted_laplacian(path_graph(2), {(0, 1): 0.5})
+        with pytest.raises(ValueError, match="integer-valued"):
+            controllability_rank(lap, input_matrix(2, (0,)))
+
 
 class TestValidateBound:
     def test_path_full_rank(self):
@@ -195,6 +221,59 @@ class TestValidateBound:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             validate_ssc_bound(Graph(3, [(0, 1)]), (0,), bound=1, trials=1)
+
+    @pytest.mark.parametrize("n", [10, 30, 60])
+    def test_long_path_end_leader_is_tight(self, n):
+        # The PMI bound n is tight and needs all n - 1 Krylov powers.
+        report = validate_ssc_bound(path_graph(n), (0,), bound=n, trials=5, seed=0)
+        assert report.passed and report.min_rank == n
+
+    def test_single_node_without_edges(self):
+        report = validate_ssc_bound(Graph(1), (0,), bound=1, trials=3, seed=0)
+        assert report.passed and report.min_rank == 1 and report.ranks == (1, 1, 1)
+
+    def test_failing_weights_are_ints(self):
+        report = validate_ssc_bound(path_graph(3), (0,), bound=4, trials=2, seed=0)
+        assert [(u, v) for u, v, _ in report.failing_weights] == [(0, 1), (1, 2)]
+        assert all(type(w) is int and w >= 1 for _, _, w in report.failing_weights)
+
+
+@st.composite
+def weighted_instances(draw, min_n=1):
+    """A connected graph on at most 7 nodes (random tree plus extra edges),
+    integer weights 1-50 and a random ordered leader set."""
+    n = draw(st.integers(min_n, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph(n, edges | extra)
+    weights = {e: draw(st.integers(1, 50)) for e in g.sorted_edges()}
+    order = draw(st.permutations(range(n)))
+    leaders = tuple(order[: draw(st.integers(1, n))])
+    return g, weights, leaders
+
+
+class TestRankProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(weighted_instances())
+    def test_rank_equals_rational_oracle(self, instance):
+        g, weights, leaders = instance
+        lap = np.rint(weighted_laplacian(g, weights)).astype(np.int64)
+        inputs = input_matrix(g.n, leaders)
+        assert controllability_rank(lap, inputs) == krylov_rank_oracle(lap, inputs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(weighted_instances(min_n=2), st.integers(0, 2**16))
+    def test_augmenter_outputs_keep_the_pmi_bound(self, instance, seed):
+        g, _, leaders = instance
+        pmi = pmi_greedy(g, leaders)
+        for result in (
+            augment_intersection(g, leaders, pmi),
+            augment_randomized(g, leaders, pmi, seed=seed, repetitions=2),
+        ):
+            h = Graph(g.n, result.edges_after)
+            report = validate_ssc_bound(h, leaders, len(pmi), trials=3, seed=seed)
+            assert report.passed, (sorted(g.edges), leaders, report.ranks)
 
 
 class TestKirchhoffIndex:
