@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations
+from operator import ge, sub
 from typing import Sequence
 
 import numpy as np
 
 from .controllability import PMISequence, _check_leaders, is_pmi
 from .errors import DisconnectedGraphError, SizeGuardError
-from .graphs import Edge, Graph, bfs_distances, canonical_edge, complement_edges
+from .graphs import Edge, Graph, _guard_dense, bfs_distances, canonical_edge, complement_edges
 
 __all__ = [
     "LevelPartition",
@@ -257,8 +257,10 @@ def _instance(
     """Check the PMI sequence against the graph, once per augmenter call.
 
     Returns the monitored (leader, PMI node) pairs and one BFS distance array
-    per source (leaders and PMI nodes).
+    per source (leaders and PMI nodes). Every caller holds node pairs in
+    O(n^2) memory, so the graph must have at most ``DENSE_NODE_GUARD`` nodes.
     """
+    _guard_dense(g.n, "edge augmentation")
     leaders = _check_leaders(g, leaders)
     nodes = pmi.nodes()
     # bfs_distances rejects out-of-range nodes; is_pmi rejects a repeated
@@ -320,25 +322,6 @@ def augment_intersection(
     )
 
 
-def _relax_insert(adj: list[set[int]], dist: list[int], x: int, y: int) -> None:
-    """Propagate distance decreases after inserting edge (x, y) into ``adj``."""
-    if dist[x] + 1 < dist[y]:
-        start, base = y, dist[x] + 1
-    elif dist[y] + 1 < dist[x]:
-        start, base = x, dist[y] + 1
-    else:
-        return
-    dist[start] = base
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in adj[u]:
-            if du + 1 < dist[w]:
-                dist[w] = du + 1
-                queue.append(w)
-
-
 def augment_randomized(
     g: Graph,
     leaders: Sequence[int],
@@ -348,43 +331,93 @@ def augment_randomized(
 ) -> AugmentationResult:
     """Densify by a seeded random scan over missing edges, best of ``repetitions``.
 
-    Each repetition shuffles the complement edge list (stream
+    Each repetition shuffles the sorted complement edge list (stream
     ``default_rng([seed, repetition])``, so enlarging ``repetitions`` never
     changes earlier repetitions) and accepts an edge iff adding it to the
     accumulated graph keeps every monitored (leader, node) distance at its
     original value. The repetition that accepts the most edges wins; ties go
-    to the earliest. Acceptance is tested against cached per-source distance
-    arrays updated incrementally, which is equivalent to re-running BFS after
-    every insertion.
+    to the earliest. The result equals a replay that re-runs BFS from every
+    source after each tentative insertion; three facts make it cheaper:
+
+    - Per monitored node ``v`` and node ``x``, the threshold
+      ``need_v(x) = max_l(d(l, v) - d_l(x) - 1)`` over leaders ``l != v``
+      makes edge ``(x, y)`` legal iff ``d_v(y) >= need_v(x)`` and
+      ``d_v(x) >= need_v(y)`` for every monitored ``v``: one comparison per
+      monitored node rather than per pair.
+    - Distances only fall as edges are added, so an edge illegal on the input
+      graph stays illegal. Every edge is tested once on the input graph and
+      the illegal ones are dropped from each shuffled order.
+    - An edge is re-tested only when an endpoint is dirty, i.e. one of its
+      source distances has fallen during the repetition; otherwise its verdict
+      on the input graph still holds. Inserting an edge relaxes a source's
+      distances by BFS only when the endpoints' distances from that source
+      differ by two or more; the nodes it lowers become dirty, and thresholds
+      are recomputed for the nodes whose leader distance fell.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     start = time.perf_counter()
     pairs, base_dist = _instance(g, leaders, pmi)
-    original = {(ell, v): base_dist[ell][v] for ell, v in pairs}
+    # Each node keeps one row of source distances: monitored non-leaders,
+    # monitored leaders, then the other leaders. Zipping a row with a
+    # threshold list pairs each d_v with need_v; ``row[lead:]`` holds the
+    # leader distances.
+    led = {ell for ell, _ in pairs}
+    watched = {v for _, v in pairs}
+    sources = sorted(watched - led) + sorted(watched & led) + sorted(led - watched)
+    lead = len(watched - led)
+    # spans[j][k] = d(l_k, v_j) - 1, or a floor below every threshold when l_k == v_j.
+    spans = [
+        [base_dist[ell][v] - 1 if ell != v else -2 * g.n for ell in sources[lead:]]
+        for v in sources[: len(watched)]
+    ]
+
+    def thresholds(row: list[int]) -> list[int]:
+        tail = row[lead:]
+        return [max(map(sub, span, tail)) for span in spans]
+
+    base_rows = [[base_dist[s][z] for s in sources] for z in range(g.n)]
+    base_need = [thresholds(row) for row in base_rows]
     comp = sorted(complement_edges(g))
+    lo, hi = np.array(comp, dtype=np.intp).reshape(-1, 2).T
+    at, needs = np.array(base_rows), np.array(base_need)
+    base_legal = np.ones(len(comp), dtype=bool)
+    for j in range(len(watched)):
+        base_legal &= (at[hi, j] >= needs[lo, j]) & (at[lo, j] >= needs[hi, j])
 
     best_added: list[Edge] = []
     for rep in range(repetitions):
-        rng = np.random.default_rng([seed, rep])
-        order = [comp[i] for i in rng.permutation(len(comp))]
+        perm = np.random.default_rng([seed, rep]).permutation(len(comp))
         adj = [set(s) for s in g.adjacency]
-        dist = {s: list(d) for s, d in base_dist.items()}
+        rows = [list(r) for r in base_rows]
+        need = list(base_need)
+        dirty = [False] * g.n
         added: list[Edge] = []
-        for x, y in order:
-            ok = True
-            for ell, v in pairs:
-                d_ell, d_v = dist[ell], dist[v]
-                span = original[(ell, v)]
-                if d_ell[x] + d_v[y] + 1 < span or d_ell[y] + d_v[x] + 1 < span:
-                    ok = False
-                    break
-            if ok:
-                adj[x].add(y)
-                adj[y].add(x)
-                added.append((x, y))
-                for d in dist.values():
-                    _relax_insert(adj, d, x, y)
+        for k in perm[base_legal[perm]].tolist():
+            x, y = comp[k]
+            if (dirty[x] or dirty[y]) and not (
+                all(map(ge, rows[y], need[x])) and all(map(ge, rows[x], need[y]))
+            ):
+                continue
+            adj[x].add(y)
+            adj[y].add(x)
+            added.append((x, y))
+            for i, gap in enumerate(map(sub, rows[x], rows[y])):
+                if -2 < gap < 2:
+                    continue
+                node, d = (x, rows[y][i] + 1) if gap > 0 else (y, rows[x][i] + 1)
+                rows[node][i] = d
+                queue = [node]
+                for u in queue:
+                    dirty[u] = True
+                    d = rows[u][i] + 1
+                    for w in adj[u]:
+                        if d < rows[w][i]:
+                            rows[w][i] = d
+                            queue.append(w)
+                if i >= lead:
+                    for z in queue:
+                        need[z] = thresholds(rows[z])
         if len(added) > len(best_added):
             best_added = added
     edges_after = frozenset(g.edges | set(best_added))

@@ -292,7 +292,7 @@ def _rank_mod(laplacian: np.ndarray, inputs: np.ndarray, prime: int) -> int:
     """Krylov dimension of ``inputs`` under ``-laplacian`` mod ``prime``, one block at a
     time: reduce the block against the RREF basis, eliminate within it, step its new rows."""
     lap, mat_b = _residues(laplacian, prime), _residues(inputs, prime)
-    n = lap.shape[0]
+    n = lap.shape[0] if lap.ndim == 2 else -1
     if lap.shape != (n, n) or mat_b.ndim != 2 or mat_b.shape[0] != n:
         raise ValueError(f"dimension mismatch: laplacian {lap.shape}, inputs {mat_b.shape}")
     step, block = -lap.T % prime, mat_b.T

@@ -6,7 +6,7 @@ class DisconnectedGraphError(ValueError):
 
 
 class SizeGuardError(ValueError):
-    """Raised when an exhaustive routine is asked to run above its size guard."""
+    """Raised when an exhaustive or all-pairs routine is asked to run above its size guard."""
 
 
 class EdgeListParseError(ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgeListParseError
+from .errors import EdgeListParseError, SizeGuardError
 
 Edge = tuple[int, int]
 WeightAssignment = dict[Edge, float]
@@ -34,7 +34,12 @@ __all__ = [
     "unit_weights",
     "parse_edge_list",
     "write_edge_list",
+    "DENSE_NODE_GUARD",
 ]
+
+#: Routines that hold all n(n-1)/2 node pairs as Python tuples (~50-100 bytes
+#: each) refuse graphs with more nodes than this, which is ~1 GB of pairs.
+DENSE_NODE_GUARD = 4096
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -126,8 +131,16 @@ def is_connected(g: Graph) -> bool:
     return None not in bfs_distances(g, 0)
 
 
+def _guard_dense(n: int, what: str) -> None:
+    if n > DENSE_NODE_GUARD:
+        raise SizeGuardError(
+            f"{what} holds all node pairs and is limited to n <= {DENSE_NODE_GUARD}, got n={n}"
+        )
+
+
 def complement_edges(g: Graph) -> set[Edge]:
-    """All node pairs absent from the graph."""
+    """All node pairs absent from the graph; guarded to ``n <= DENSE_NODE_GUARD``."""
+    _guard_dense(g.n, "the complement edge list")
     return {
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges
     }
@@ -165,9 +178,13 @@ class GenSpec:
 
 
 def erdos_renyi(spec: GenSpec) -> Graph:
-    """G(n, p): each of the n(n-1)/2 pairs kept independently with probability p."""
+    """G(n, p): each of the n(n-1)/2 pairs kept independently with probability p.
+
+    Guarded to ``n <= DENSE_NODE_GUARD``.
+    """
     if spec.model != "erdos-renyi":
         raise ValueError(f"spec model is {spec.model!r}, expected 'erdos-renyi'")
+    _guard_dense(spec.n, "G(n, p)")
     rng = np.random.default_rng(spec.seed)
     pairs = [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)]
     draws = rng.random(len(pairs))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netaug import (
     DisconnectedGraphError,
@@ -25,6 +27,7 @@ from netaug import (
     pmi_greedy,
     success_probability_bound,
 )
+from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     addable_edge_bound_oracle,
     complete_graph,
@@ -254,6 +257,23 @@ class TestIntersection:
             augment_intersection(g, (0,), wrong_leader)
 
 
+@st.composite
+def scan_instances(draw):
+    """A connected graph on 4-10 nodes (a path, a random tree or a connected
+    G(n, p) draw, relabelled by a random permutation), 1-4 distinct leaders
+    and its greedy PMI sequence."""
+    n = draw(st.integers(4, 10))
+    kind = draw(st.sampled_from(["path", "tree", "er"]))
+    if kind == "er":
+        g = random_connected_graph(n, draw(st.floats(0.2, 0.7)), seed=draw(st.integers(0, 10**6)))
+    else:
+        label = draw(st.permutations(range(n)))
+        parent = [v - 1 if kind == "path" else draw(st.integers(0, v - 1)) for v in range(1, n)]
+        g = Graph(n, [(label[p], label[v]) for v, p in enumerate(parent, start=1)])
+    leaders = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)))
+    return g, leaders, pmi_setup(g, leaders)
+
+
 class TestRandomized:
     def test_path_unchanged_any_seed(self):
         g = path_graph(3)
@@ -285,6 +305,14 @@ class TestRandomized:
             res = augment_randomized(g, leaders, seq, seed=seed, repetitions=2)
             expected = reference_randomized_scan(g, leaders, seq, seed=seed, repetitions=2)
             assert res.edges_after == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_instances(), st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_equals_full_bfs_reference_property(self, instance, seed, repetitions):
+        g, leaders, seq = instance
+        res = augment_randomized(g, leaders, seq, seed=seed, repetitions=repetitions)
+        expected = reference_randomized_scan(g, leaders, seq, seed=seed, repetitions=repetitions)
+        assert res.edges_after == expected
 
     def test_one_maximal_within_repetition(self):
         g = random_connected_graph(10, 0.25, seed=31)
@@ -361,6 +389,13 @@ class TestUpperBound:
         seq = PMISequence((DistanceVector(0, (0,)), DistanceVector(1, (1,))), (0, 0))
         for run in (augment_intersection, augment_randomized, addable_edge_upper_bound):
             with pytest.raises(DisconnectedGraphError):
+                run(g, (0,), seq)
+
+    def test_size_guard(self):
+        g = Graph(DENSE_NODE_GUARD + 1, [(0, 1)])
+        seq = PMISequence((DistanceVector(0, (0,)), DistanceVector(1, (1,))), (0, 0))
+        for run in (augment_intersection, augment_randomized, addable_edge_upper_bound):
+            with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
                 run(g, (0,), seq)
 
 

@@ -178,6 +178,19 @@ class TestExitCodes:
         path.write_text("n 2\n0 0\n")
         assert cli(["augment", "-g", str(path), "--leaders", "0"]) == 1
 
+    def test_size_guard_is_domain_error(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("n 5000\n0 1\n")
+        pmi_file = tmp_path / "pmi.json"
+        pmi_file.write_text(json.dumps([{"node": 1, "vector": [1], "witness": 0}]))
+        for argv in (
+            ["gen", "--model", "er", "--n", "5000", "--p", "0.1"],
+            ["augment", "-g", str(big), "--leaders", "0", "--pmi", str(pmi_file)],
+        ):
+            assert cli(argv) == 1
+            err = capsys.readouterr().err
+            assert "limited to n <= 4096" in err and err.count("\n") == 1
+
     def test_directory_as_graph_is_usage_error(self, tmp_path):
         assert cli(["pmi", "-g", str(tmp_path), "--leaders", "0"]) == 2
 

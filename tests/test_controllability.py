@@ -172,6 +172,13 @@ class TestControllabilityRank:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             controllability_rank(np.eye(3), np.ones((4, 1)))
+        for lap, inputs in [
+            (np.array(5), np.ones((1, 1))),
+            (np.ones(3), np.ones((3, 1))),
+            (np.eye(3), np.ones(3)),
+        ]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                controllability_rank(lap, inputs)
 
     def test_deficiency_hidden_by_a_change_of_basis(self):
         # L = S M S^-1 with M block upper triangular and B = S [B1; 0]: the Krylov

@@ -5,6 +5,7 @@ from netaug import (
     EdgeListParseError,
     GenSpec,
     Graph,
+    SizeGuardError,
     barabasi_albert,
     bfs_distances,
     complement_edges,
@@ -14,6 +15,7 @@ from netaug import (
     weighted_laplacian,
     write_edge_list,
 )
+from netaug.graphs import DENSE_NODE_GUARD
 from helpers import all_pairs_min_plus, path_graph, complete_graph
 
 
@@ -91,6 +93,10 @@ class TestComplement:
         assert not (comp & g.edges)
         assert len(comp) + g.num_edges() == 9 * 8 // 2
 
+    def test_size_guard(self):
+        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
+            complement_edges(Graph(DENSE_NODE_GUARD + 1))
+
 
 class TestErdosRenyi:
     def test_p_zero_and_one(self):
@@ -109,6 +115,11 @@ class TestErdosRenyi:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             GenSpec(model="erdos-renyi", n=10, p=1.5, seed=0)
+
+    def test_size_guard(self):
+        spec = GenSpec(model="erdos-renyi", n=DENSE_NODE_GUARD + 1, p=0.1, seed=0)
+        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
+            erdos_renyi(spec)
 
 
 class TestBarabasiAlbert:
