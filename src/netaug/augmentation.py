@@ -4,10 +4,11 @@ The single-pair solver builds a chain of cliques over BFS levels between the
 pair, which is an optimal shape: any denser graph would shorten the pair
 distance. Two multi-pair algorithms lift this to a whole set of monitored
 (leader, node) pairs taken from a PMI sequence: one intersects the per-pair
-chain solutions, the other scans a shuffled complement edge list and keeps
-every edge whose addition preserves all monitored distances, repeated
-best-of-c. Both therefore keep the PMI sequence (and the controllability
-bound it certifies) valid on the augmented graph.
+chain solutions, so an edge survives iff its endpoints are at most one level
+apart for every monitored pair; the other scans a shuffled complement edge
+list and keeps every edge whose addition preserves all monitored distances,
+repeated best-of-c. Both therefore keep the PMI sequence (and the
+controllability bound it certifies) valid on the augmented graph.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations
 from operator import ge, sub
 from typing import Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .controllability import PMISequence, _check_leaders, is_pmi
 from .errors import DisconnectedGraphError, SizeGuardError
-from .graphs import Edge, Graph, _guard_dense, bfs_distances, canonical_edge, complement_edges
+from .graphs import Edge, Graph, _guard_dense, bfs_distances, complement_edges
 
 __all__ = [
     "LevelPartition",
@@ -116,33 +116,37 @@ def classify_fixed_nodes(g: Graph, a: int, b: int) -> list[bool]:
     ]
 
 
-def _build_levels(
-    dist_a: list[int], dist_b: list[int], a: int, b: int, k: int
-) -> LevelPartition:
-    half = k // 2
-    level_of: list[int] = []
-    for v in range(len(dist_a)):
-        da, db = dist_a[v], dist_b[v]
-        if da is None or db is None:
-            raise DisconnectedGraphError(
-                f"node {v} is unreachable from the pair ({a},{b})"
-            )
-        if da + db == k:
-            level_of.append(da)
-        elif k == 1:
-            # With only two levels the chain is the complete graph either way;
-            # level 1 keeps level 0 = {a}.
-            level_of.append(1)
-        elif da <= half:
-            level_of.append(da)
-        elif db <= (half if k % 2 == 1 else half - 1):
-            level_of.append(k - db)
-        else:
-            level_of.append(half)
-    levels = [[] for _ in range(k + 1)]
-    for v, lvl in enumerate(level_of):
-        levels[lvl].append(v)
-    return LevelPartition(a=a, b=b, levels=tuple(tuple(sorted(l)) for l in levels))
+def _levels(
+    dist_a: list[int | None], dist_b: list[int | None], a: int, b: int, k: int
+) -> np.ndarray:
+    """Clique-chain level of every node for the pair ``(a, b)`` at distance ``k``.
+
+    Depth from ``a`` if at most ``k // 2``, else ``k`` minus depth from ``b``
+    if that depth is at most ``(k - 1) // 2``, else the middle ``k // 2``
+    (1 when ``k = 1``, so level 0 stays ``{a}``). Geodesic nodes thus sit at
+    their depth from ``a``. A chain joins the node pairs at most one level apart.
+    """
+    if None in dist_b:  # a reaches b, so a node unreachable from one is so from both
+        raise DisconnectedGraphError(
+            f"node {dist_b.index(None)} is unreachable from the pair ({a},{b})"
+        )
+    da, db = np.array(dist_a), np.array(dist_b)
+    near_b = np.where(db <= (k - 1) // 2, k - db, max(k // 2, 1))
+    return np.where(da <= k // 2, da, near_b)
+
+
+def _chain_mask(level: np.ndarray) -> np.ndarray:
+    """Node-pair mask of the clique chain: both ends at most one level apart.
+    It holds all node pairs, so at most ``DENSE_NODE_GUARD`` nodes."""
+    _guard_dense(len(level), "the clique chain")
+    return np.abs(level[:, None] - level[None, :]) <= 1
+
+
+def _edges(mask: np.ndarray, nodes: np.ndarray) -> frozenset[Edge]:
+    """The pairs in the upper triangle of ``mask`` as canonical edges over ``nodes``."""
+    i, j = np.nonzero(np.triu(mask, 1))
+    u, w = nodes[i], nodes[j]
+    return frozenset(zip(np.minimum(u, w).tolist(), np.maximum(u, w).tolist()))
 
 
 def level_partition(g: Graph, a: int, b: int) -> LevelPartition:
@@ -153,39 +157,34 @@ def level_partition(g: Graph, a: int, b: int) -> LevelPartition:
     and falls to the middle level ``k // 2`` otherwise.
     """
     dist_a, dist_b, k = _pair_distances(g, a, b)
-    return _build_levels(dist_a, dist_b, a, b, k)
+    levels: list[list[int]] = [[] for _ in range(k + 1)]
+    for v, level in enumerate(_levels(dist_a, dist_b, a, b, k).tolist()):
+        levels[level].append(v)
+    return LevelPartition(a=a, b=b, levels=tuple(map(tuple, levels)))
 
 
 def build_clique_chain(partition: LevelPartition) -> frozenset[Edge]:
-    """All within-level plus consecutive-level edges over the partition."""
-    levels = partition.levels
-    within = (e for level in levels for e in combinations(level, 2))
-    across = (
-        canonical_edge(u, w) for lo, hi in zip(levels, levels[1:]) for u in lo for w in hi
-    )
-    return frozenset(chain(within, across))
+    """All within-level plus consecutive-level edges over the partition, which
+    may hold at most ``DENSE_NODE_GUARD`` nodes."""
+    nodes = np.array([v for level in partition.levels for v in level], dtype=np.intp)
+    sizes = [len(level) for level in partition.levels]
+    return _edges(_chain_mask(np.repeat(np.arange(len(sizes)), sizes)), nodes)
 
 
 def _upper_bound(g: Graph, dist: dict[int, list[int]], pairs: list[tuple[int, int]]) -> int:
     """Missing edges that no monitored pair rules out.
 
     A node pair is ruled out when both nodes lie on a common geodesic of a
-    monitored pair at depths two or more apart: adding it would create a
+    monitored pair at levels two or more apart: adding it would create a
     shortcut on that geodesic. Such a pair is never already an edge (the
     edge would be that shortcut), so the complement is never enumerated.
     """
-    forbidden: set[Edge] = set()
+    forbidden = np.zeros((g.n, g.n), dtype=bool)
     for a, b in pairs:
-        d_a, d_b = dist[a], dist[b]
-        k = d_a[b]
-        levels: list[list[int]] = [[] for _ in range(k + 1)]
-        for v in range(g.n):
-            if d_a[v] + d_b[v] == k:
-                levels[d_a[v]].append(v)
-        for i, lo in enumerate(levels):
-            for hi in levels[i + 2 :]:
-                forbidden.update(canonical_edge(u, w) for u in lo for w in hi)
-    return g.n * (g.n - 1) // 2 - g.num_edges() - len(forbidden)
+        k = dist[a][b]
+        on = np.flatnonzero(np.add(dist[a], dist[b]) == k)
+        forbidden[np.ix_(on, on)] |= ~_chain_mask(_levels(dist[a], dist[b], a, b, k)[on])
+    return g.n * (g.n - 1) // 2 - g.num_edges() - int(np.count_nonzero(forbidden)) // 2
 
 
 def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
@@ -193,11 +192,11 @@ def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
 
     The answer is the chain of cliques over the level partition, which is the
     complete graph for an adjacent pair; every node must be reachable from
-    the pair. Runs in time linear in the graph plus the output size.
+    the pair. Runs in O(n^2) time and memory, so ``n <= DENSE_NODE_GUARD``.
     """
     start = time.perf_counter()
     dist_a, dist_b, k = _pair_distances(g, a, b)
-    edges_after = build_clique_chain(_build_levels(dist_a, dist_b, a, b, k))
+    edges_after = _edges(_chain_mask(_levels(dist_a, dist_b, a, b, k)), np.arange(g.n))
     return AugmentationResult(
         algorithm="clique-chain",
         edges_before=g.edges,
@@ -305,17 +304,15 @@ def augment_intersection(
     """
     start = time.perf_counter()
     pairs, dist = _instance(g, leaders, pmi)
-    current = {(u, v) for u in range(g.n) for v in range(u + 1, g.n)}
+    keep = np.ones((g.n, g.n), dtype=bool)
     for ell, v in pairs:
-        k = dist[ell][v]
-        if k == 1:
-            continue  # adjacent pair constrains nothing
-        current &= build_clique_chain(_build_levels(dist[ell], dist[v], ell, v, k))
+        keep &= _chain_mask(_levels(dist[ell], dist[v], ell, v, dist[ell][v]))
+    edges_after = _edges(keep, np.arange(g.n))
     return AugmentationResult(
         algorithm="intersection",
         edges_before=g.edges,
-        edges_after=frozenset(current),
-        added=frozenset(current - g.edges),
+        edges_after=edges_after,
+        added=edges_after - g.edges,
         upper_bound_addable=_upper_bound(g, dist, pairs),
         pmi_length=len(pmi),
         runtime_ms=(time.perf_counter() - start) * 1000.0,

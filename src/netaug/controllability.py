@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DisconnectedGraphError, SizeGuardError
 from .graphs import (
     Graph,
+    _json_int,
     bfs_distances,
     is_connected,
     unit_weights,
@@ -82,8 +83,14 @@ class PMISequence:
 
     @classmethod
     def from_json(cls, items: Sequence[dict]) -> "PMISequence":
-        vectors = tuple(DistanceVector(int(it["node"]), tuple(int(x) for x in it["vector"])) for it in items)
-        witnesses = tuple(int(it["witness"]) for it in items)
+        vectors = tuple(
+            DistanceVector(
+                _json_int(it["node"], "node"),
+                tuple(_json_int(x, "vector entry") for x in it["vector"]),
+            )
+            for it in items
+        )
+        witnesses = tuple(_json_int(it["witness"], "witness") for it in items)
         return cls(vectors, witnesses)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .augmentation import augment_intersection, augment_randomized
 from .controllability import kirchhoff_index, pmi_greedy
 from .errors import DisconnectedGraphError
-from .graphs import GenSpec, Graph, generate, is_connected
+from .graphs import GenSpec, Graph, _json_int, generate, is_connected
 
 __all__ = [
     "ExperimentConfig",
@@ -79,16 +79,21 @@ class ExperimentConfig:
         for value in parameters:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"parameters must be numbers, got {value!r}")
+        for flag in ("resample_until_connected", "measure_runtime"):
+            if not isinstance(data.get(flag, False), bool):
+                raise ValueError(f"{flag} must be true or false, got {data[flag]!r}")
         return cls(
             model=data["model"],
-            n=int(data["n"]),
+            n=_json_int(data["n"], "n"),
             parameters=parameters,
-            leader_counts=tuple(int(x) for x in data["leader_counts"]),
-            instances=int(data.get("instances", 20)),
-            repetitions=int(data.get("repetitions", 30)),
-            master_seed=int(data.get("master_seed", 0)),
-            resample_until_connected=bool(data.get("resample_until_connected", True)),
-            measure_runtime=bool(data.get("measure_runtime", False)),
+            leader_counts=tuple(
+                _json_int(x, "leader_counts entry") for x in data["leader_counts"]
+            ),
+            instances=_json_int(data.get("instances", 20), "instances"),
+            repetitions=_json_int(data.get("repetitions", 30), "repetitions"),
+            master_seed=_json_int(data.get("master_seed", 0), "master_seed"),
+            resample_until_connected=data.get("resample_until_connected", True),
+            measure_runtime=data.get("measure_runtime", False),
             output_path=data.get("output_path"),
         )
 

@@ -263,6 +263,16 @@ def weighted_laplacian(g: Graph, weights: WeightAssignment) -> np.ndarray:
     return lap
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` as an int when it is an integral JSON number; ``ValueError``
+    naming ``name`` for a bool, a fraction or any other type."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header ``n <count>`` then one ``u v`` line per edge.
 

@@ -64,6 +64,37 @@ def addable_edge_bound_oracle(g: Graph, pairs) -> int:
     return addable
 
 
+def intersection_oracle(g: Graph, pairs) -> frozenset:
+    """Edges common to the clique chains of all ``pairs``, by scalar level
+    arithmetic on (min, +) distances. For a pair (a, b) at distance k >= 2 a
+    geodesic node sits at its depth from a, another node at its depth from a
+    if that is at most k // 2, else at k minus its depth from b if that is at
+    most (k - 1) // 2, else at k // 2. A node pair survives when every pair puts
+    its ends at most one level apart; a pair at distance 1 constrains nothing."""
+    dist = all_pairs_min_plus(g).tolist()
+    levels = []
+    for a, b in pairs:
+        k = dist[a][b]
+        if k < 2:
+            continue
+        level = []
+        for v in range(g.n):
+            da, db = dist[a][v], dist[b][v]
+            if da + db == k or da <= k // 2:
+                level.append(da)
+            elif db <= (k - 1) // 2:
+                level.append(k - db)
+            else:
+                level.append(k // 2)
+        levels.append(level)
+    return frozenset(
+        (u, w)
+        for u in range(g.n)
+        for w in range(u + 1, g.n)
+        if all(abs(level[u] - level[w]) <= 1 for level in levels)
+    )
+
+
 def brute_pmi_length(vectors) -> int:
     """Longest PMI run by forward extension over all orderings of all subsets."""
     distinct = sorted(set(tuple(v) for v in vectors))

@@ -5,6 +5,9 @@ lines and timings. Corpora are seeded and shared across criteria through
 module-scoped fixtures.
 """
 
+import csv
+import hashlib
+import io
 import json
 import time
 
@@ -262,7 +265,8 @@ def test_a8_single_leader_characterization():
     report("A8 single-leader PMI = distinct distances", failures, "100 graphs, n <= 15")
 
 
-def test_a9_seeded_entry_points_are_byte_identical(tmp_path):
+def a9_entry_points(tmp_path) -> dict:
+    """CLI argument lists for every seeded entry point, on inputs written to ``tmp_path``."""
     graph_file = tmp_path / "graph.txt"
     assert cli(["gen", "--model", "er", "--n", "12", "--p", "0.4", "--seed", "5",
                 "-o", str(graph_file)]) == 0
@@ -276,7 +280,7 @@ def test_a9_seeded_entry_points_are_byte_identical(tmp_path):
         "repetitions": 2,
         "master_seed": 13,
     }))
-    entry_points = {
+    return {
         "gen-er": ["gen", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "2"],
         "gen-ba": ["gen", "--model", "ba", "--n", "15", "--gamma", "4", "--seed", "2"],
         "pmi": ["pmi", "-g", str(graph_file), "--leaders", "0", "3"],
@@ -288,6 +292,10 @@ def test_a9_seeded_entry_points_are_byte_identical(tmp_path):
                      "--seed", "3"],
         "experiment": ["experiment", "-c", str(config_file)],
     }
+
+
+def test_a9_seeded_entry_points_are_byte_identical(tmp_path):
+    entry_points = a9_entry_points(tmp_path)
     failures = []
     for name, args in entry_points.items():
         first, second = tmp_path / f"{name}.1", tmp_path / f"{name}.2"
@@ -297,3 +305,37 @@ def test_a9_seeded_entry_points_are_byte_identical(tmp_path):
         if first.read_bytes() != second.read_bytes():
             failures.append((name, "output differs between runs"))
     report("A9 seeded determinism", failures, f"{len(entry_points)} entry points, run twice")
+
+
+#: sha256 of each A9 output. The experiment digest covers the CSV without its
+#: kirchhoff_* columns, whose last digits depend on the LAPACK build.
+A9_DIGESTS = {
+    "gen-er": "7611db82628ea8b33c308a0e99139c755f716a5b6a3cbb07c2a17863d807cc81",
+    "gen-ba": "3f0f6d7d0161f9854a0b02a60f95e22ebfafa4436fd6a83532f276881da6f412",
+    "pmi": "455d930bbe32041f394836e39f18293a0eaaefb64c374fbc2d29f35d34317b25",
+    "augment-intersect": "6d9d3959a4ded7db6567aa5e742cdfa208a72301f777984272db52a973e566c1",
+    "augment-random": "e912d61e654f00f38e5261ce9f3112169031af71845a14f68e88985fe77d48d5",
+    "validate": "2bbf4ca3960d77a388722e6b5eefe8f5fa66659f914c69ee88800c763e99471c",
+    "experiment": "d13fa6940de418d6488c934343c06ea0c1c3cfe8839ae77b62a6b6dab2e3f93e",
+}
+
+
+def pinned_bytes(name: str, data: bytes) -> bytes:
+    if name != "experiment":
+        return data
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    keep = [i for i, column in enumerate(rows[0]) if not column.startswith("kirchhoff_")]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows).encode("utf-8")
+
+
+def test_a9_seeded_outputs_match_recorded_digests(tmp_path):
+    failures = []
+    for name, args in a9_entry_points(tmp_path).items():
+        out = tmp_path / name
+        if cli(args + ["-o", str(out)]) != 0:
+            failures.append((name, "nonzero exit"))
+            continue
+        digest = hashlib.sha256(pinned_bytes(name, out.read_bytes())).hexdigest()
+        if digest != A9_DIGESTS[name]:
+            failures.append((name, digest))
+    report("A9 seeded outputs equal recorded digests", failures, f"{len(A9_DIGESTS)} outputs")

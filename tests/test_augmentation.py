@@ -9,6 +9,7 @@ from netaug import (
     DisconnectedGraphError,
     DistanceVector,
     Graph,
+    LevelPartition,
     PMISequence,
     SizeGuardError,
     addable_edge_upper_bound,
@@ -30,9 +31,11 @@ from netaug import (
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     addable_edge_bound_oracle,
+    all_pairs_min_plus,
     complete_graph,
     cycle_graph,
     full_subset_pair_optimum,
+    intersection_oracle,
     path_graph,
     random_connected_graph,
     reference_randomized_scan,
@@ -108,6 +111,10 @@ class TestLevelPartition:
             )
             assert len(chain) == expected
 
+    def test_chain_over_node_ids_not_covering_a_range(self):
+        part = LevelPartition(a=5, b=7, levels=((5,), (2, 9), (7,)))
+        assert build_clique_chain(part) == {(2, 9), (2, 5), (5, 9), (2, 7), (7, 9)}
+
 
 class TestAugmentPair:
     def test_star_leaf_pair(self):
@@ -147,6 +154,13 @@ class TestAugmentPair:
     def test_unreachable_pair(self):
         with pytest.raises(DisconnectedGraphError):
             augment_pair(Graph(4, [(0, 1), (2, 3)]), 0, 3)
+
+    def test_size_guard(self):
+        g = path_graph(DENSE_NODE_GUARD + 1)
+        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
+            augment_pair(g, 0, 1)
+        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
+            build_clique_chain(level_partition(g, 0, 1))
 
     def test_node_unreachable_from_pair(self):
         for g, b in ((Graph(4, [(0, 1), (1, 2)]), 2), (Graph(3, [(0, 1)]), 1)):
@@ -217,6 +231,23 @@ def pmi_setup(g, leaders):
     return pmi_greedy(g, leaders)
 
 
+@st.composite
+def scan_instances(draw, min_n=4, max_n=10):
+    """A connected graph on ``min_n``-``max_n`` nodes (a path, a random tree or
+    a connected G(n, p) draw, relabelled by a random permutation), 1-4
+    distinct leaders and its greedy PMI sequence."""
+    n = draw(st.integers(min_n, max_n))
+    kind = draw(st.sampled_from(["path", "tree", "er"]))
+    if kind == "er":
+        g = random_connected_graph(n, draw(st.floats(0.2, 0.7)), seed=draw(st.integers(0, 10**6)))
+    else:
+        label = draw(st.permutations(range(n)))
+        parent = [v - 1 if kind == "path" else draw(st.integers(0, v - 1)) for v in range(1, n)]
+        g = Graph(n, [(label[p], label[v]) for v, p in enumerate(parent, start=1)])
+    leaders = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)))
+    return g, leaders, pmi_setup(g, leaders)
+
+
 class TestIntersection:
     def test_complete_graph_unchanged(self):
         g = complete_graph(5)
@@ -250,28 +281,26 @@ class TestIntersection:
             vectors_after = distance_to_leader_vectors(h, leaders)
             assert is_pmi([vectors_after[v].dist for v in seq.nodes()]).ok
 
+    @settings(max_examples=150, deadline=None)
+    @given(scan_instances(min_n=2, max_n=12))
+    def test_matches_oracles_property(self, instance):
+        g, leaders, seq = instance
+        pairs = [(ell, v) for ell in leaders for v in seq.nodes() if ell != v]
+        res = augment_intersection(g, leaders, seq)
+        assert res.edges_after == intersection_oracle(g, pairs)
+        assert addable_edge_upper_bound(g, leaders, seq) == addable_edge_bound_oracle(g, pairs)
+        before = all_pairs_min_plus(g)
+        rand = augment_randomized(g, leaders, seq, seed=len(pairs), repetitions=2)
+        for h in (Graph(g.n, res.edges_after), Graph(g.n, rand.edges_after)):
+            after = all_pairs_min_plus(h)
+            assert all(after[ell, v] == before[ell, v] for ell, v in pairs)
+            assert is_pmi([[after[ell, v] for ell in leaders] for v in seq.nodes()]).ok
+
     def test_invalid_pmi_rejected(self):
         g = path_graph(4)
         wrong_leader = pmi_setup(g, (3,))  # vectors do not match leader 0 distances
         with pytest.raises(ValueError, match="does not match"):
             augment_intersection(g, (0,), wrong_leader)
-
-
-@st.composite
-def scan_instances(draw):
-    """A connected graph on 4-10 nodes (a path, a random tree or a connected
-    G(n, p) draw, relabelled by a random permutation), 1-4 distinct leaders
-    and its greedy PMI sequence."""
-    n = draw(st.integers(4, 10))
-    kind = draw(st.sampled_from(["path", "tree", "er"]))
-    if kind == "er":
-        g = random_connected_graph(n, draw(st.floats(0.2, 0.7)), seed=draw(st.integers(0, 10**6)))
-    else:
-        label = draw(st.permutations(range(n)))
-        parent = [v - 1 if kind == "path" else draw(st.integers(0, v - 1)) for v in range(1, n)]
-        g = Graph(n, [(label[p], label[v]) for v, p in enumerate(parent, start=1)])
-    leaders = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)))
-    return g, leaders, pmi_setup(g, leaders)
 
 
 class TestRandomized:

@@ -215,6 +215,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
 
+    def test_config_flag_of_wrong_type_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": [0.5],
+                                   "leader_counts": [2], "resample_until_connected": "false"}))
+        assert cli(["experiment", "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "resample_until_connected must be true or false" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("payload", [{"node": 0}, [1, 2]], ids=["object", "int-list"])
     def test_pmi_file_of_wrong_shape_is_domain_error(self, star6, tmp_path, capsys, payload):
         pmi_file = tmp_path / "pmi.json"

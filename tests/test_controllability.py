@@ -152,6 +152,18 @@ class TestPMIGreedy:
         seq = pmi_greedy(path_graph(4), (0, 3))
         assert PMISequence.from_json(seq.to_json()) == seq
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"node": 1.7, "vector": [1], "witness": 0}, "node"),
+            ({"node": 1, "vector": [1.5], "witness": 0}, "vector"),
+            ({"node": 1, "vector": [1], "witness": 0.5}, "witness"),
+        ],
+    )
+    def test_json_non_integral_rejected(self, entry, field):
+        with pytest.raises(ValueError, match=field):
+            PMISequence.from_json([entry])
+
 
 class TestControllabilityRank:
     def test_two_node_path(self):

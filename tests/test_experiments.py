@@ -57,6 +57,28 @@ class TestConfig:
                     {"model": "erdos-renyi", "n": 5, "parameters": [bad], "leader_counts": [1]}
                 )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("resample_until_connected", "false"),
+            ("measure_runtime", "no"),
+            ("n", 8.9),
+            ("leader_counts", [2.7]),
+            ("instances", True),
+        ],
+    )
+    def test_json_fields_checked_not_coerced(self, field, value):
+        data = {"model": "erdos-renyi", "n": 8, "parameters": [0.4], "leader_counts": [2]}
+        data[field] = value
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json(data)
+
+    def test_json_integral_float_count_accepted(self):
+        config = ExperimentConfig.from_json(
+            {"model": "erdos-renyi", "n": 8.0, "parameters": [0.4], "leader_counts": [2]}
+        )
+        assert config.n == 8 and isinstance(config.n, int)
+
 
 class TestTrialSeed:
     def test_frozen_value(self):
