@@ -48,7 +48,6 @@ from .graphs import (
     Edge,
     GenSpec,
     Graph,
-    WeightAssignment,
     barabasi_albert,
     bfs_distances,
     canonical_edge,
@@ -56,9 +55,8 @@ from .graphs import (
     erdos_renyi,
     generate,
     is_connected,
+    laplacian,
     parse_edge_list,
-    unit_weights,
-    weighted_laplacian,
     write_edge_list,
 )
 
@@ -78,7 +76,6 @@ __all__ = [
     "PMISequence",
     "RankValidationReport",
     "SizeGuardError",
-    "WeightAssignment",
     "addable_edge_upper_bound",
     "aggregates_to_csv",
     "augment_intersection",
@@ -99,6 +96,7 @@ __all__ = [
     "is_connected",
     "is_pmi",
     "kirchhoff_index",
+    "laplacian",
     "level_partition",
     "parse_edge_list",
     "pmi_exact",
@@ -107,9 +105,7 @@ __all__ = [
     "run_experiment",
     "success_probability_bound",
     "trial_seed",
-    "unit_weights",
     "validate_ssc_bound",
-    "weighted_laplacian",
     "write_edge_list",
 ]
 

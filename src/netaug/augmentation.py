@@ -117,7 +117,7 @@ def classify_fixed_nodes(g: Graph, a: int, b: int) -> list[bool]:
 
 
 def _levels(
-    dist_a: list[int | None], dist_b: list[int | None], a: int, b: int, k: int
+    dist_a: list | np.ndarray, dist_b: list | np.ndarray, a: int, b: int, k: int
 ) -> np.ndarray:
     """Clique-chain level of every node for the pair ``(a, b)`` at distance ``k``.
 
@@ -125,12 +125,13 @@ def _levels(
     if that depth is at most ``(k - 1) // 2``, else the middle ``k // 2``
     (1 when ``k = 1``, so level 0 stays ``{a}``). Geodesic nodes thus sit at
     their depth from ``a``. A chain joins the node pairs at most one level apart.
+    The distances are BFS lists or int arrays; arrays are used as they are.
     """
-    if None in dist_b:  # a reaches b, so a node unreachable from one is so from both
+    da, db = np.asarray(dist_a), np.asarray(dist_b)
+    if db.dtype == object:  # a list holding None; a reaches b, so that node is cut off from both
         raise DisconnectedGraphError(
             f"node {dist_b.index(None)} is unreachable from the pair ({a},{b})"
         )
-    da, db = np.array(dist_a), np.array(dist_b)
     near_b = np.where(db <= (k - 1) // 2, k - db, max(k // 2, 1))
     return np.where(da <= k // 2, da, near_b)
 
@@ -179,11 +180,12 @@ def _upper_bound(g: Graph, dist: dict[int, list[int]], pairs: list[tuple[int, in
     shortcut on that geodesic. Such a pair is never already an edge (the
     edge would be that shortcut), so the complement is never enumerated.
     """
+    at = {s: np.array(d) for s, d in dist.items()}
     forbidden = np.zeros((g.n, g.n), dtype=bool)
     for a, b in pairs:
         k = dist[a][b]
-        on = np.flatnonzero(np.add(dist[a], dist[b]) == k)
-        forbidden[np.ix_(on, on)] |= ~_chain_mask(_levels(dist[a], dist[b], a, b, k)[on])
+        on = np.flatnonzero(at[a] + at[b] == k)
+        forbidden[np.ix_(on, on)] |= ~_chain_mask(_levels(at[a], at[b], a, b, k)[on])
     return g.n * (g.n - 1) // 2 - g.num_edges() - int(np.count_nonzero(forbidden)) // 2
 
 

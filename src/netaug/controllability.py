@@ -16,14 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, SizeGuardError
-from .graphs import (
-    Graph,
-    _json_int,
-    bfs_distances,
-    is_connected,
-    unit_weights,
-    weighted_laplacian,
-)
+from .graphs import Graph, _json_int, bfs_distances, is_connected, laplacian
 
 __all__ = [
     "DistanceVector",
@@ -369,6 +362,7 @@ def validate_ssc_bound(
     ``default_rng([seed, trial])`` and takes the rank exactly mod p, so a pass proves
     the bound for those weights; a shortfall is re-checked with a second prime. The
     bound holds for *all* positive weights, so a failure indicates an implementation bug.
+    The graph must be connected, with at most ``DENSE_NODE_GUARD`` nodes.
     """
     leaders = _check_leaders(g, leaders)
     if bound < 1:
@@ -383,9 +377,7 @@ def validate_ssc_bound(
     failing: np.ndarray | None = None
     for trial in range(trials):
         weights = np.random.default_rng([seed, trial]).integers(1, _PRIME, size=u.size)
-        lap = np.zeros((g.n, g.n), dtype=np.int64)
-        lap[u, v] = lap[v, u] = -weights
-        np.fill_diagonal(lap, -lap.sum(axis=1))
+        lap = laplacian(g.n, u, v, weights)
         rank = _rank_mod(lap, mat_b, _PRIME)
         if rank < bound:  # both ranks are proved lower bounds; 2**31 - 1 is prime
             rank = max(rank, _rank_mod(lap, mat_b, 2**31 - 1))
@@ -407,11 +399,10 @@ def kirchhoff_index(g: Graph) -> float:
     """Sum of reciprocals of the nonzero eigenvalues of the unweighted Laplacian.
 
     Lower is more robust; adding any edge to a connected graph strictly
-    decreases it.
+    decreases it. Needs a connected graph with at most ``DENSE_NODE_GUARD`` nodes.
     """
-    if g.n == 1:
-        return 0.0
-    eigenvalues = np.linalg.eigvalsh(weighted_laplacian(g, unit_weights(g)))
-    if eigenvalues[1] <= 1e-9:
+    if not is_connected(g):
         raise DisconnectedGraphError("Kirchhoff index needs a connected graph")
+    u, v = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
+    eigenvalues = np.linalg.eigvalsh(laplacian(g.n, u, v, np.ones(u.size)))
     return float(np.sum(1.0 / eigenvalues[1:]))

@@ -1,9 +1,13 @@
-"""Simple undirected graphs: construction, BFS distances, random models, Laplacians, I/O.
+"""Simple undirected graphs: construction, BFS distances, random models, the Laplacian, I/O.
 
 All graphs live on nodes ``0..n-1`` with canonical edges ``(u, v)``, ``u < v``.
 Randomness everywhere in the package comes from NumPy's PCG64 generator
 (``np.random.default_rng``), so every seeded routine is reproducible
 bit-for-bit on any platform.
+
+``laplacian`` builds the dense weighted Laplacian from edge arrays. It is the
+one matrix behind both the rank check (random integer weights) and the
+Kirchhoff index (unit weights).
 """
 
 from __future__ import annotations
@@ -16,13 +20,11 @@ import numpy as np
 from .errors import EdgeListParseError, SizeGuardError
 
 Edge = tuple[int, int]
-WeightAssignment = dict[Edge, float]
 
 __all__ = [
     "Edge",
     "Graph",
     "GenSpec",
-    "WeightAssignment",
     "canonical_edge",
     "bfs_distances",
     "is_connected",
@@ -30,15 +32,15 @@ __all__ = [
     "erdos_renyi",
     "barabasi_albert",
     "generate",
-    "weighted_laplacian",
-    "unit_weights",
+    "laplacian",
     "parse_edge_list",
     "write_edge_list",
     "DENSE_NODE_GUARD",
 ]
 
-#: Routines that hold all n(n-1)/2 node pairs as Python tuples (~50-100 bytes
-#: each) refuse graphs with more nodes than this, which is ~1 GB of pairs.
+#: Routines that hold all n(n-1)/2 node pairs, as Python tuples (~50-100 bytes
+#: each, ~1 GB at this size) or as dense n x n arrays, refuse graphs with more
+#: nodes than this.
 DENSE_NODE_GUARD = 4096
 
 
@@ -235,31 +237,32 @@ def generate(spec: GenSpec) -> Graph:
     return barabasi_albert(spec)
 
 
-def unit_weights(g: Graph) -> WeightAssignment:
-    return {e: 1.0 for e in g.edges}
+def laplacian(n: int, u, v, weights) -> np.ndarray:
+    """Dense weighted Laplacian of the edges ``(u[i], v[i])`` weighted ``weights[i]``.
 
-
-def weighted_laplacian(g: Graph, weights: WeightAssignment) -> np.ndarray:
-    """Dense weighted Laplacian: off-diagonal ``-w(u,v)``, diagonal = row degree sum.
-
-    ``weights`` must cover exactly the graph's edges with strictly positive
-    values. The result is symmetric, rows sum to zero, and it is positive
-    semidefinite.
+    Off-diagonal entries are ``-w``, the diagonal holds the row sums of the
+    weights, so rows sum to zero and the matrix is symmetric and positive
+    semidefinite. It keeps the dtype of ``weights``: integer weights give an
+    exact integer matrix. Each node pair must appear at most once. Unequal
+    lengths, a self-loop, an endpoint outside ``0..n-1`` or a weight that is
+    not positive raise ``ValueError``; guarded to ``n <= DENSE_NODE_GUARD``.
     """
-    if set(weights) != g.edges:
-        missing = g.edges - set(weights)
-        extra = set(weights) - g.edges
+    u, v, weights = np.asarray(u), np.asarray(v), np.asarray(weights)
+    if not (u.shape == v.shape == weights.shape == (u.size,)):
         raise ValueError(
-            f"weights must cover exactly the edge set (missing {len(missing)}, extra {len(extra)})"
+            f"edge arrays must be 1-D of equal length, "
+            f"got shapes {u.shape}, {v.shape} and {weights.shape}"
         )
-    lap = np.zeros((g.n, g.n), dtype=float)
-    for (u, v), w in weights.items():
-        if w <= 0:
-            raise ValueError(f"weight on edge ({u},{v}) must be positive, got {w}")
-        lap[u, v] = -w
-        lap[v, u] = -w
-        lap[u, u] += w
-        lap[v, v] += w
+    if np.any(u == v):
+        raise ValueError(f"self-loop on node {u[u == v][0]} is not allowed")
+    if u.size and not (0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n):
+        raise ValueError(f"edge endpoint out of range for n={n}")
+    if not np.all(weights > 0):
+        raise ValueError(f"edge weights must be positive, got {weights[~(weights > 0)][0]}")
+    _guard_dense(n, "the dense Laplacian")
+    lap = np.zeros((n, n), dtype=weights.dtype)
+    lap[u, v] = lap[v, u] = -weights
+    np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
 
 

@@ -181,11 +181,14 @@ class TestExitCodes:
     def test_size_guard_is_domain_error(self, tmp_path, capsys):
         big = tmp_path / "big.txt"
         big.write_text("n 5000\n0 1\n")
+        big_path = tmp_path / "big_path.txt"
+        big_path.write_text("n 5000\n" + "".join(f"{i} {i + 1}\n" for i in range(4999)))
         pmi_file = tmp_path / "pmi.json"
         pmi_file.write_text(json.dumps([{"node": 1, "vector": [1], "witness": 0}]))
         for argv in (
             ["gen", "--model", "er", "--n", "5000", "--p", "0.1"],
             ["augment", "-g", str(big), "--leaders", "0", "--pmi", str(pmi_file)],
+            ["validate", "-g", str(big_path), "--leaders", "0", "--bound", "1"],
         ):
             assert cli(argv) == 1
             err = capsys.readouterr().err

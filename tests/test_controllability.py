@@ -17,12 +17,12 @@ from netaug import (
     input_matrix,
     is_pmi,
     kirchhoff_index,
+    laplacian,
     pmi_exact,
     pmi_greedy,
-    unit_weights,
     validate_ssc_bound,
-    weighted_laplacian,
 )
+from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     brute_pmi_length,
     complete_graph,
@@ -165,20 +165,23 @@ class TestPMIGreedy:
             PMISequence.from_json([entry])
 
 
+def graph_laplacian(g: Graph, weights=None) -> np.ndarray:
+    """``laplacian`` over the graph's sorted edges; unit int64 weights by default."""
+    u, v = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2).T
+    return laplacian(g.n, u, v, np.ones(u.size, dtype=np.int64) if weights is None else weights)
+
+
 class TestControllabilityRank:
     def test_two_node_path(self):
-        g = path_graph(2)
-        rank = controllability_rank(weighted_laplacian(g, unit_weights(g)), input_matrix(2, (0,)))
+        rank = controllability_rank(graph_laplacian(path_graph(2)), input_matrix(2, (0,)))
         assert rank == 2
 
     def test_identity_inputs_full_rank(self):
-        g = random_connected_graph(6, 0.5, seed=1)
-        lap = weighted_laplacian(g, unit_weights(g))
+        lap = graph_laplacian(random_connected_graph(6, 0.5, seed=1))
         assert controllability_rank(lap, np.eye(6)) == 6
 
     def test_triangle_one_leader_symmetry_collapse(self):
-        g = complete_graph(3)
-        rank = controllability_rank(weighted_laplacian(g, unit_weights(g)), input_matrix(3, (0,)))
+        rank = controllability_rank(graph_laplacian(complete_graph(3)), input_matrix(3, (0,)))
         assert rank == 2
 
     def test_dimension_mismatch(self):
@@ -209,7 +212,7 @@ class TestControllabilityRank:
         assert controllability_rank(lap, inputs) == krylov_rank_oracle(lap, inputs) == k
 
     def test_non_integral_entry_rejected(self):
-        lap = weighted_laplacian(path_graph(2), {(0, 1): 0.5})
+        lap = graph_laplacian(path_graph(2), np.array([0.5]))
         with pytest.raises(ValueError, match="integer-valued"):
             controllability_rank(lap, input_matrix(2, (0,)))
 
@@ -251,6 +254,10 @@ class TestValidateBound:
         report = validate_ssc_bound(Graph(1), (0,), bound=1, trials=3, seed=0)
         assert report.passed and report.min_rank == 1 and report.ranks == (1, 1, 1)
 
+    def test_size_guard(self):
+        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
+            validate_ssc_bound(path_graph(DENSE_NODE_GUARD + 1), (0,), bound=1, trials=1)
+
     def test_failing_weights_are_ints(self):
         report = validate_ssc_bound(path_graph(3), (0,), bound=4, trials=2, seed=0)
         assert [(u, v) for u, v, _ in report.failing_weights] == [(0, 1), (1, 2)]
@@ -260,13 +267,13 @@ class TestValidateBound:
 @st.composite
 def weighted_instances(draw, min_n=1):
     """A connected graph on at most 7 nodes (random tree plus extra edges),
-    integer weights 1-50 and a random ordered leader set."""
+    int64 weights 1-50 (one per sorted edge) and a random ordered leader set."""
     n = draw(st.integers(min_n, 7))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     g = Graph(n, edges | extra)
-    weights = {e: draw(st.integers(1, 50)) for e in g.sorted_edges()}
+    weights = np.array([draw(st.integers(1, 50)) for _ in g.sorted_edges()], dtype=np.int64)
     order = draw(st.permutations(range(n)))
     leaders = tuple(order[: draw(st.integers(1, n))])
     return g, weights, leaders
@@ -277,7 +284,7 @@ class TestRankProperties:
     @given(weighted_instances())
     def test_rank_equals_rational_oracle(self, instance):
         g, weights, leaders = instance
-        lap = np.rint(weighted_laplacian(g, weights)).astype(np.int64)
+        lap = graph_laplacian(g, weights)
         inputs = input_matrix(g.n, leaders)
         assert controllability_rank(lap, inputs) == krylov_rank_oracle(lap, inputs)
 
@@ -305,9 +312,16 @@ class TestKirchhoffIndex:
     def test_three_node_path(self):
         assert kirchhoff_index(path_graph(3)) == pytest.approx(4 / 3)
 
+    def test_single_node(self):
+        assert kirchhoff_index(Graph(1)) == 0.0
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             kirchhoff_index(Graph(3, [(0, 1)]))
+
+    def test_size_guard(self):
+        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
+            kirchhoff_index(path_graph(DENSE_NODE_GUARD + 1))
 
     def test_matches_effective_resistance_oracle(self):
         for seed in range(4):
@@ -324,3 +338,13 @@ class TestKirchhoffIndex:
                 continue
             extra = missing[int(rng.integers(0, len(missing)))]
             assert kirchhoff_index(g.add_edges([extra])) < kirchhoff_index(g) - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_instances(), st.data())
+    def test_resistance_and_edge_addition_property(self, instance, data):
+        g = instance[0]
+        before = kirchhoff_index(g)
+        assert before == pytest.approx(effective_resistance_total(g) / g.n, rel=1e-9)
+        missing = sorted({(u, v) for u in range(g.n) for v in range(u + 1, g.n)} - g.edges)
+        if missing:
+            assert kirchhoff_index(g.add_edges([data.draw(st.sampled_from(missing))])) < before

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netaug import (
     EdgeListParseError,
@@ -10,9 +12,8 @@ from netaug import (
     bfs_distances,
     complement_edges,
     erdos_renyi,
+    laplacian,
     parse_edge_list,
-    unit_weights,
-    weighted_laplacian,
     write_edge_list,
 )
 from netaug.graphs import DENSE_NODE_GUARD
@@ -144,36 +145,55 @@ class TestBarabasiAlbert:
             GenSpec(model="barabasi-albert", n=10, gamma=10, seed=0)
 
 
+def edge_arrays(g: Graph) -> np.ndarray:
+    """The graph's sorted edges as two endpoint arrays."""
+    return np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2).T
+
+
 class TestLaplacian:
     def test_path_unit_weights(self):
-        g = path_graph(3)
-        lap = weighted_laplacian(g, unit_weights(g))
+        lap = laplacian(3, *edge_arrays(path_graph(3)), np.ones(2))
         assert np.array_equal(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_triangle_weight_two(self):
-        g = complete_graph(3)
-        lap = weighted_laplacian(g, {e: 2.0 for e in g.edges})
+        lap = laplacian(3, *edge_arrays(complete_graph(3)), np.full(3, 2.0))
         assert np.allclose(np.diag(lap), 4.0)
 
     def test_rows_sum_to_zero_and_psd(self):
         rng = np.random.default_rng(5)
         for seed in range(4):
             g = erdos_renyi(GenSpec(model="erdos-renyi", n=8, p=0.5, seed=seed))
-            weights = {e: float(10 ** rng.uniform(-1, 1)) for e in g.edges}
-            lap = weighted_laplacian(g, weights)
+            lap = laplacian(8, *edge_arrays(g), 10 ** rng.uniform(-1, 1, size=g.num_edges()))
             assert np.allclose(lap.sum(axis=1), 0.0)
             assert np.allclose(lap, lap.T)
             assert np.linalg.eigvalsh(lap).min() >= -1e-9
 
+    def test_dtype_of_weights_is_kept(self):
+        u, v = edge_arrays(path_graph(3))
+        exact = laplacian(3, u, v, np.array([3, 2**31 - 1], dtype=np.int64))
+        assert exact.dtype == np.int64 and exact[1, 1] == 2**31 + 2
+        assert laplacian(3, u, v, np.array([0.5, 1.0])).dtype == np.float64
+
     def test_missing_weight_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError, match="cover exactly"):
-            weighted_laplacian(g, {(0, 1): 1.0})
+        with pytest.raises(ValueError, match="equal length"):
+            laplacian(3, *edge_arrays(path_graph(3)), [1.0])
 
     def test_nonpositive_weight_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError, match="positive"):
-            weighted_laplacian(g, {(0, 1): 1.0, (1, 2): 0.0})
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                laplacian(3, *edge_arrays(path_graph(3)), [1.0, bad])
+
+    @pytest.mark.parametrize(
+        "u, v, match",
+        [([1], [1], "self-loop"), ([0], [3], "out of range"), ([-1], [0], "out of range")],
+    )
+    def test_bad_endpoint_rejected(self, u, v, match):
+        with pytest.raises(ValueError, match=match):
+            laplacian(3, u, v, [1.0])
+
+    def test_size_guard(self):
+        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
+            laplacian(DENSE_NODE_GUARD + 1, [0], [1], [1.0])
 
 
 class TestEdgeListIO:
@@ -208,3 +228,12 @@ class TestEdgeListIO:
     def test_written_form_is_sorted(self):
         g = Graph(4, [(2, 3), (0, 1), (1, 2)])
         assert write_edge_list(g) == "n 4\n0 1\n1 2\n2 3\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_write_parse_round_trip_property(self, n, data):
+        node = st.integers(0, n - 1)
+        g = Graph(n, [(u, w) for u, w in data.draw(st.sets(st.tuples(node, node))) if u != w])
+        text = write_edge_list(g)
+        assert parse_edge_list(text) == g
+        assert write_edge_list(parse_edge_list(text)) == text
