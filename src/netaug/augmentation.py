@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .controllability import PMISequence, _check_leaders, is_pmi
+from .controllability import PMISequence, _check_leaders
 from .errors import DisconnectedGraphError, SizeGuardError
 from .graphs import Edge, Graph, _guard_dense, bfs_distances, complement_edges
 
@@ -264,8 +264,8 @@ def _instance(
     _guard_dense(g.n, "edge augmentation")
     leaders = _check_leaders(g, leaders)
     nodes = pmi.nodes()
-    # bfs_distances rejects out-of-range nodes; is_pmi rejects a repeated
-    # node, whose two equal vectors admit no witness.
+    # bfs_distances rejects out-of-range nodes; the witness pass rejects a
+    # repeated node, whose two equal vectors admit no witness.
     dist = {s: bfs_distances(g, s) for s in set(leaders) | set(nodes)}
     if any(None in d for d in dist.values()):
         raise DisconnectedGraphError("distance-to-leader vectors need a connected graph")
@@ -276,9 +276,17 @@ def _instance(
                 f"PMI vector for node {dv.node} does not match the graph: "
                 f"{dv.dist} vs {actual}"
             )
-    check = is_pmi(pmi.raw_vectors())
-    if not check.ok:
-        raise ValueError(f"sequence is not PMI, violation at positions {check.violation}")
+    if len(pmi.witnesses) != len(pmi.vectors):
+        raise ValueError(
+            f"PMI sequence has {len(pmi.vectors)} vectors but {len(pmi.witnesses)} witnesses"
+        )
+    mins = [float("inf")] * len(leaders)  # componentwise minimum of the later vectors
+    for dv, w in zip(reversed(pmi.vectors), reversed(pmi.witnesses)):
+        if not 0 <= w < len(leaders):
+            raise ValueError(f"PMI witness {w} for node {dv.node} is outside 0..{len(leaders) - 1}")
+        if not dv.dist[w] < mins[w]:
+            raise ValueError(f"PMI witness {w} for node {dv.node} does not hold")
+        mins = list(map(min, mins, dv.dist))
     pairs = [(ell, v) for ell in leaders for v in nodes if ell != v]
     return pairs, dist  # type: ignore[return-value]
 

@@ -6,11 +6,19 @@ which all later elements are strictly larger. The length of such a sequence
 lower-bounds the dimension of the strong structurally controllable subspace
 for every choice of positive edge weights, which this module checks through
 controllability-matrix ranks taken exactly modulo a prime.
+
+All PMI routines rest on one suffix-minimum rule: a vector may precede a
+suffix iff one of its coordinates is strictly below the suffix's
+componentwise minimum, and the first such coordinate is its witness.
+``is_pmi`` is one backward pass over suffix minima, ``pmi_exact`` carries the
+minimum down its search, and ``pmi_greedy`` is one pass over the vectors
+sorted by their smallest entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import Sequence
 
 import numpy as np
@@ -126,44 +134,45 @@ def distance_to_leader_vectors(g: Graph, leaders: Sequence[int]) -> list[Distanc
     ]
 
 
+def _witness(vec: Sequence[int], mins: Sequence[float]) -> int | None:
+    """First coordinate on which ``vec`` is strictly below ``mins``, the
+    componentwise minimum of the vectors after it; ``None`` when there is none."""
+    return next((j for j, (x, lo) in enumerate(zip(vec, mins)) if x < lo), None)
+
+
 def is_pmi(vectors: Sequence[Sequence[int]]) -> PMICheck:
     """Check the strictly-increasing-witness condition on a vector sequence.
 
-    On success the returned witnesses certify the sequence: for each position
-    ``i`` every later vector is strictly larger at coordinate ``witnesses[i]``.
-    On failure ``violation`` is ``(i, j)`` for the first position ``i`` with
-    no valid coordinate, with ``j`` one later index that blocks it.
+    Position ``i`` is certified by the first coordinate on which ``vectors[i]``
+    is strictly below the componentwise minimum of the later vectors, so one
+    backward pass over those suffix minima finds every witness. On failure
+    ``violation`` is ``(i, j)`` for the first position ``i`` with no valid
+    coordinate, with ``j`` the earliest later index that blocks one of them.
     """
     vecs = [tuple(v) for v in vectors]
-    if not vecs:
-        return PMICheck(ok=True, witnesses=())
-    m = len(vecs[0])
-    for v in vecs:
-        if len(v) != m:
-            raise ValueError("all vectors must have the same length")
-    witnesses: list[int] = []
-    for i, v in enumerate(vecs):
-        chosen = None
-        blocker: int | None = None
-        for alpha in range(m):
-            bad = next((j for j in range(i + 1, len(vecs)) if vecs[j][alpha] <= v[alpha]), None)
-            if bad is None:
-                chosen = alpha
-                break
-            if blocker is None or bad < blocker:
-                blocker = bad
-        if chosen is None:
-            return PMICheck(ok=False, violation=(i, blocker if blocker is not None else i + 1))
-        witnesses.append(chosen)
-    return PMICheck(ok=True, witnesses=tuple(witnesses))
+    m = len(vecs[0]) if vecs else 0
+    if any(len(v) != m for v in vecs):
+        raise ValueError("all vectors must have the same length")
+    witnesses: list[int | None] = [None] * len(vecs)
+    mins = [float("inf")] * m
+    for i in range(len(vecs) - 1, -1, -1):
+        witnesses[i] = _witness(vecs[i], mins)
+        mins = list(map(min, mins, vecs[i]))
+    if None not in witnesses:
+        return PMICheck(ok=True, witnesses=tuple(witnesses))  # type: ignore[arg-type]
+    i = witnesses.index(None)
+    later = range(i + 1, len(vecs))
+    blocker = min(
+        (next(j for j in later if vecs[j][a] <= vecs[i][a]) for a in range(m)), default=i + 1
+    )
+    return PMICheck(ok=False, violation=(i, blocker))
 
 
 def _distinct_vectors(g: Graph, leaders: Sequence[int]) -> dict[tuple[int, ...], int]:
     """Map each distinct distance vector to its smallest node id."""
     rep: dict[tuple[int, ...], int] = {}
-    for dv in distance_to_leader_vectors(g, leaders):
-        if dv.dist not in rep or dv.node < rep[dv.dist]:
-            rep[dv.dist] = dv.node
+    for dv in distance_to_leader_vectors(g, leaders):  # in node order
+        rep.setdefault(dv.dist, dv.node)
     return rep
 
 
@@ -171,9 +180,10 @@ def pmi_exact(g: Graph, leaders: Sequence[int]) -> PMISequence:
     """Longest PMI sequence by exhaustive search; certificate-quality but small-only.
 
     Vectors are selected back to front: a vector may precede a chosen suffix
-    iff some coordinate is strictly below the suffix's componentwise minimum.
-    Memoized on the chosen set; refuses instances with more than
-    ``PMI_EXACT_GUARD`` distinct vectors (use ``pmi_greedy`` there).
+    iff some coordinate is strictly below the suffix's componentwise minimum,
+    and the first such coordinate is its witness. Memoized on the chosen set;
+    refuses instances with more than ``PMI_EXACT_GUARD`` distinct vectors (use
+    ``pmi_greedy`` there).
     """
     rep = _distinct_vectors(g, leaders)
     if len(rep) > PMI_EXACT_GUARD:
@@ -182,82 +192,59 @@ def pmi_exact(g: Graph, leaders: Sequence[int]) -> PMISequence:
             f"({PMI_EXACT_GUARD}); use pmi_greedy"
         )
     vectors = sorted(rep)
-    m = len(tuple(leaders))
-    inf = float("inf")
-    memo: dict[frozenset[int], int] = {}
+    bits = PMI_EXACT_GUARD.bit_length()
+    # Chosen-set bitmask -> (longest continuation << bits) | index of the first
+    # vector that starts one; one int per state keeps the memo small.
+    memo: dict[int, int] = {}
 
-    def suffix_min(used: frozenset[int]) -> list[float]:
-        mins = [inf] * m
-        for idx in used:
-            for j, x in enumerate(vectors[idx]):
-                if x < mins[j]:
-                    mins[j] = x
-        return mins
-
-    def best(used: frozenset[int]) -> int:
+    def best(used: int, mins: tuple) -> int:
         if used in memo:
             return memo[used]
-        mins = suffix_min(used)
         out = 0
         for idx, vec in enumerate(vectors):
-            if idx in used:
-                continue
-            if any(vec[j] < mins[j] for j in range(m)):
-                out = max(out, 1 + best(used | {idx}))
+            if not used >> idx & 1 and any(map(lt, vec, mins)):
+                length = (best(used | 1 << idx, tuple(map(min, vec, mins))) >> bits) + 1
+                if length > out >> bits:
+                    out = length << bits | idx
         memo[used] = out
         return out
 
-    # Reconstruct one optimal sequence, last element first.
-    used: frozenset[int] = frozenset()
-    reversed_pick: list[int] = []
-    remaining = best(used)
-    while remaining > 0:
-        mins = suffix_min(used)
-        for idx, vec in enumerate(vectors):
-            if idx in used or not any(vec[j] < mins[j] for j in range(m)):
-                continue
-            if 1 + best(used | {idx}) == remaining:
-                reversed_pick.append(idx)
-                used = used | {idx}
-                remaining -= 1
-                break
-    order = [vectors[idx] for idx in reversed(reversed_pick)]
-    chosen = tuple(DistanceVector(rep[vec], vec) for vec in order)
-    check = is_pmi(order)  # smallest witness per position; the search built a PMI run
-    assert check.ok and check.witnesses is not None
-    return PMISequence(chosen, check.witnesses)
+    # Follow the memo from the empty suffix, last element first.
+    used, mins = 0, (float("inf"),) * len(tuple(leaders))
+    chosen: list[DistanceVector] = []
+    witnesses: list[int] = []
+    while best(used, mins):
+        idx = memo[used] & ((1 << bits) - 1)
+        vec = vectors[idx]
+        chosen.append(DistanceVector(rep[vec], vec))
+        witnesses.append(_witness(vec, mins))  # type: ignore[arg-type]
+        used |= 1 << idx
+        mins = tuple(map(min, vec, mins))
+    return PMISequence(tuple(reversed(chosen)), tuple(reversed(witnesses)))
 
 
 def pmi_greedy(g: Graph, leaders: Sequence[int]) -> PMISequence:
     """Deterministic greedy PMI sequence; exact for a single leader.
 
     Maintains one threshold per coordinate (the last witness value there).
-    A vector stays eligible while it exceeds every threshold componentwise;
-    among eligible vectors the one with the smallest attainable witness value
-    is taken (ties: smaller coordinate, then smaller node id), and that
-    coordinate's threshold rises to the value.
+    A vector is eligible while it exceeds every threshold componentwise; the
+    eligible vector with the smallest entry is taken (ties: smaller
+    coordinate, then smaller node id), and that coordinate's threshold rises
+    to the entry. The pick key does not depend on the thresholds and the
+    thresholds only rise, so a vector that is not eligible never becomes so
+    and the picks come in key order: one pass over the vectors sorted by key
+    takes each one that is eligible when reached.
     """
     rep = _distinct_vectors(g, leaders)
-    m = len(tuple(leaders))
-    thresholds = [-1] * m
-    unused = set(rep)
+    thresholds = [-1] * len(tuple(leaders))
+    keyed = [(min(vec), vec.index(min(vec)), node, vec) for vec, node in rep.items()]
     chosen: list[DistanceVector] = []
     witnesses: list[int] = []
-    while True:
-        pick: tuple[int, int, int, tuple[int, ...]] | None = None
-        for vec in unused:
-            if all(vec[j] > thresholds[j] for j in range(m)):
-                alpha = min(range(m), key=lambda j: (vec[j], j))
-                cand = (vec[alpha], alpha, rep[vec], vec)
-                if pick is None or cand < pick:
-                    pick = cand
-        if pick is None:
-            break
-        value, alpha, node, vec = pick
-        thresholds[alpha] = value
-        unused.remove(vec)
-        chosen.append(DistanceVector(node, vec))
-        witnesses.append(alpha)
+    for value, alpha, node, vec in sorted(keyed):
+        if all(map(gt, vec, thresholds)):
+            thresholds[alpha] = value
+            chosen.append(DistanceVector(node, vec))
+            witnesses.append(alpha)
     return PMISequence(tuple(chosen), tuple(witnesses))
 
 

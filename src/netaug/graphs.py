@@ -88,12 +88,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edges
-
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

@@ -1,7 +1,8 @@
 """Shared test utilities: seeded graph factories and independent oracles.
 
 The oracles here deliberately take different routes than the library code
-(forward enumeration vs backward memo search, full-subset scans vs pruned
+(forward enumeration vs backward memo search, per-pick rescans vs one
+sorted pass, per-coordinate scans vs suffix minima, full-subset scans vs pruned
 DFS, pseudo-inverse resistances vs eigenvalue sums, rational elimination vs
 modular Krylov blocks) so they can catch bugs in the implementations they
 check.
@@ -14,13 +15,15 @@ from fractions import Fraction
 import numpy as np
 
 from netaug import (
+    DistanceVector,
     GenSpec,
     Graph,
+    PMICheck,
+    PMISequence,
     bfs_distances,
     complement_edges,
     erdos_renyi,
     is_connected,
-    is_pmi,
 )
 
 
@@ -95,6 +98,49 @@ def intersection_oracle(g: Graph, pairs) -> frozenset:
     )
 
 
+def is_pmi_oracle(vectors) -> PMICheck:
+    """PMI check by scalar scans: position i's witness is the smallest
+    coordinate on which every later vector is strictly larger; the first
+    position without one fails, blocked by the earliest later index that is
+    no larger on some coordinate."""
+    vecs = [tuple(v) for v in vectors]
+    m = len(vecs[0]) if vecs else 0
+    witnesses = []
+    for i, v in enumerate(vecs):
+        later = range(i + 1, len(vecs))
+        alpha = next((a for a in range(m) if all(vecs[j][a] > v[a] for j in later)), None)
+        if alpha is None:
+            blockers = [next(j for j in later if vecs[j][a] <= v[a]) for a in range(m)]
+            return PMICheck(ok=False, violation=(i, min(blockers, default=i + 1)))
+        witnesses.append(alpha)
+    return PMICheck(ok=True, witnesses=tuple(witnesses))
+
+
+def greedy_pmi_oracle(g: Graph, leaders) -> PMISequence:
+    """The greedy PMI rule by rescanning: at every pick, take the unused
+    vector that exceeds every threshold with the smallest (entry, coordinate,
+    node) key, then raise that coordinate's threshold to the entry."""
+    dist = all_pairs_min_plus(g)
+    rep: dict = {}
+    for v in range(g.n):
+        rep.setdefault(tuple(int(dist[ell, v]) for ell in leaders), v)
+    thresholds = [-1] * len(leaders)
+    chosen, witnesses = [], []
+    while True:
+        eligible = [
+            (min(vec), vec.index(min(vec)), node, vec)
+            for vec, node in rep.items()
+            if all(x > t for x, t in zip(vec, thresholds))
+        ]
+        if not eligible:
+            return PMISequence(tuple(chosen), tuple(witnesses))
+        value, alpha, node, vec = min(eligible)
+        thresholds[alpha] = value
+        del rep[vec]
+        chosen.append(DistanceVector(node, vec))
+        witnesses.append(alpha)
+
+
 def brute_pmi_length(vectors) -> int:
     """Longest PMI run by forward extension over all orderings of all subsets."""
     distinct = sorted(set(tuple(v) for v in vectors))
@@ -104,7 +150,7 @@ def brute_pmi_length(vectors) -> int:
         nonlocal best
         best = max(best, len(seq))
         for i, vec in enumerate(remaining):
-            if is_pmi(seq + [vec]).ok:
+            if is_pmi_oracle(seq + [vec]).ok:
                 extend(seq + [vec], remaining[:i] + remaining[i + 1 :])
 
     extend([], distinct)

@@ -302,6 +302,28 @@ class TestIntersection:
         with pytest.raises(ValueError, match="does not match"):
             augment_intersection(g, (0,), wrong_leader)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda seq: (seq.vectors, (99,) + seq.witnesses[1:]),
+             "witness 99 for node 0 is outside 0..1"),
+            (lambda seq: (seq.vectors, (1,) + seq.witnesses[1:]),
+             "witness 1 for node 0 does not hold"),
+            (lambda seq: (seq.vectors[:1] + seq.vectors, seq.witnesses[:1] + seq.witnesses),
+             "witness 0 for node 0 does not hold"),
+            (lambda seq: (seq.vectors, seq.witnesses[:-1]), "4 vectors but 3 witnesses"),
+        ],
+        ids=["out-of-range", "false", "repeated-node", "count"],
+    )
+    def test_carried_witnesses_checked(self, edit, message):
+        g, leaders = path_graph(4), (0, 3)
+        seq = pmi_setup(g, leaders)
+        assert (seq.nodes(), seq.witnesses) == ((0, 3, 1, 2), (0, 1, 0, 1))
+        bad = PMISequence(*edit(seq))
+        for run in (augment_intersection, augment_randomized, addable_edge_upper_bound):
+            with pytest.raises(ValueError, match=message):
+                run(g, leaders, bad)
+
 
 class TestRandomized:
     def test_path_unchanged_any_seed(self):

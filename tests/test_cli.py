@@ -189,10 +189,25 @@ class TestExitCodes:
             ["gen", "--model", "er", "--n", "5000", "--p", "0.1"],
             ["augment", "-g", str(big), "--leaders", "0", "--pmi", str(pmi_file)],
             ["validate", "-g", str(big_path), "--leaders", "0", "--bound", "1"],
+            ["validate", "-g", str(big_path), "--leaders", "0"],
         ):
             assert cli(argv) == 1
             err = capsys.readouterr().err
             assert "limited to n <= 4096" in err and err.count("\n") == 1
+
+    def test_pmi_witness_that_fails_is_domain_error(self, path3, tmp_path, capsys):
+        pmi_file = tmp_path / "pmi.json"
+        augment = ["augment", "-g", path3, "--leaders", "0", "2", "--pmi", str(pmi_file)]
+        assert cli(["pmi", "-g", path3, "--leaders", "0", "2", "-o", str(pmi_file)]) == 0
+        assert cli(augment) == 0
+        capsys.readouterr()
+        entries = json.loads(pmi_file.read_text())
+        for witness, message in ((99, "is outside 0..1"), (-1, "is outside 0..1"),
+                                 (1, "does not hold")):
+            pmi_file.write_text(json.dumps([dict(entries[0], witness=witness)] + entries[1:]))
+            assert cli(augment) == 1
+            err = capsys.readouterr().err
+            assert f"witness {witness} for node 0 {message}" in err and err.count("\n") == 1
 
     def test_directory_as_graph_is_usage_error(self, tmp_path):
         assert cli(["pmi", "-g", str(tmp_path), "--leaders", "0"]) == 2

@@ -26,7 +26,10 @@ from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     brute_pmi_length,
     complete_graph,
+    cycle_graph,
     effective_resistance_total,
+    greedy_pmi_oracle,
+    is_pmi_oracle,
     krylov_rank_oracle,
     path_graph,
     random_connected_graph,
@@ -105,6 +108,14 @@ class TestPMIExact:
         with pytest.raises(SizeGuardError):
             pmi_exact(path_graph(22), (0,))
 
+    def test_first_optimal_vector_kept_at_each_step(self):
+        # Built back to front; at each step the smallest vector (in sorted
+        # order) that starts a longest continuation is taken.
+        seq = pmi_exact(path_graph(3), (0, 2))
+        assert (seq.nodes(), seq.witnesses) == ((2, 1, 0), (1, 1, 0))
+        seq = pmi_exact(cycle_graph(6), (0, 2))
+        assert (seq.nodes(), seq.witnesses) == ((2, 1, 0, 4, 5), (1, 1, 0, 1, 0))
+
     def test_matches_enumeration_oracle(self):
         for seed in range(8):
             g = random_connected_graph(6, 0.5, seed=seed)
@@ -163,6 +174,49 @@ class TestPMIGreedy:
     def test_json_non_integral_rejected(self, entry, field):
         with pytest.raises(ValueError, match=field):
             PMISequence.from_json([entry])
+
+
+@st.composite
+def pmi_instances(draw):
+    """A connected graph on 1-14 nodes (random tree plus extra edges) and
+    1-4 distinct leaders in random order."""
+    n = draw(st.integers(1, 14))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    order = draw(st.permutations(range(n)))
+    return Graph(n, edges | extra), tuple(order[: draw(st.integers(1, min(4, n)))])
+
+
+class TestPMIOracleProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(pmi_instances())
+    def test_greedy_matches_rescan_oracle(self, instance):
+        g, leaders = instance
+        seq = pmi_greedy(g, leaders)
+        assert seq == greedy_pmi_oracle(g, leaders)
+        check = is_pmi_oracle(seq.raw_vectors())
+        assert check.ok and is_pmi(seq.raw_vectors()) == check
+
+    @settings(max_examples=150, deadline=None)
+    @given(pmi_instances(), st.data())
+    def test_is_pmi_matches_scalar_oracle(self, instance, data):
+        # Any ordering of any subset of the distance vectors, repeats allowed:
+        # both PMI runs and violations with their blockers are exercised.
+        g, leaders = instance
+        vectors = [dv.dist for dv in distance_to_leader_vectors(g, leaders)]
+        picks = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n + 2))
+        run = [vectors[v] for v in picks]
+        assert is_pmi(run) == is_pmi_oracle(run)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pmi_instances())
+    def test_exact_witnesses_match_oracle(self, instance):
+        g, leaders = instance
+        seq = pmi_exact(g, leaders)
+        check = is_pmi_oracle(seq.raw_vectors())
+        assert check.ok and check.witnesses == seq.witnesses
+        assert len(seq) >= len(pmi_greedy(g, leaders))
 
 
 def graph_laplacian(g: Graph, weights=None) -> np.ndarray:
