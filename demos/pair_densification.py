@@ -37,8 +37,7 @@ def main():
     on_geodesics = [v for v in range(g.n) if fixed[v]]
     print(f"nodes on some shortest path: {on_geodesics}")
 
-    part = level_partition(g, 0, b)
-    for i, level in enumerate(part.levels):
+    for i, level in enumerate(level_partition(g, 0, b)):
         print(f"  level {i}: {list(level)}")
 
     result = augment_pair(g, 0, b)

@@ -9,7 +9,6 @@ trade no controllability guarantee for that robustness gain.
 
 from .augmentation import (
     AugmentationResult,
-    LevelPartition,
     addable_edge_upper_bound,
     augment_intersection,
     augment_pair,
@@ -71,7 +70,6 @@ __all__ = [
     "ExperimentRecord",
     "GenSpec",
     "Graph",
-    "LevelPartition",
     "PMICheck",
     "PMISequence",
     "RankValidationReport",

@@ -9,6 +9,12 @@ apart for every monitored pair; the other scans a shuffled complement edge
 list and keeps every edge whose addition preserves all monitored distances,
 repeated best-of-c. Both therefore keep the PMI sequence (and the
 controllability bound it certifies) valid on the augmented graph.
+
+Everything here reads one input: BFS distance int arrays from the pair's
+ends, or from each leader and PMI node, checked once as they are computed
+(``DisconnectedGraphError`` names a node some source cannot reach).
+``level_partition`` returns the levels as a tuple of node tuples, which
+``build_clique_chain`` takes back.
 """
 
 from __future__ import annotations
@@ -22,11 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from .controllability import PMISequence, _check_leaders
-from .errors import DisconnectedGraphError, SizeGuardError
-from .graphs import Edge, Graph, _guard_dense, bfs_distances, complement_edges
+from .errors import SizeGuardError
+from .graphs import Edge, Graph, _checked_distances, _guard_dense, bfs_distances, complement_edges
 
 __all__ = [
-    "LevelPartition",
     "AugmentationResult",
     "classify_fixed_nodes",
     "level_partition",
@@ -42,21 +47,6 @@ __all__ = [
 
 #: Exhaustive pair search refuses graphs larger than this.
 BRUTE_FORCE_GUARD = 8
-
-
-@dataclass(frozen=True)
-class LevelPartition:
-    """Nodes split into consecutive levels between a pair: level 0 is ``{a}``,
-    the last level is ``{b}``, and every node on an a-b geodesic sits at its
-    distance from ``a``."""
-
-    a: int
-    b: int
-    levels: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.levels) - 1
 
 
 @dataclass(frozen=True)
@@ -91,49 +81,36 @@ class AugmentationResult:
         }
 
 
-def _pair_distances(g: Graph, a: int, b: int) -> tuple[list[int], list[int], int]:
+def _pair_distances(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Distance arrays from both ends of the pair and the pair distance;
+    every node must be reachable from the pair."""
     if a == b:
         raise ValueError(f"pair nodes must differ, got ({a},{b})")
     for node in (a, b):
         if not (0 <= node < g.n):
             raise ValueError(f"node {node} out of range for n={g.n}")
-    dist_a = bfs_distances(g, a)
-    if dist_a[b] is None:
-        raise DisconnectedGraphError(f"nodes {a} and {b} are unreachable from each other")
-    dist_b = bfs_distances(g, b)
-    return dist_a, dist_b, dist_a[b]  # type: ignore[return-value]
+    dist_a, dist_b = _checked_distances(g, (a, b))
+    return dist_a, dist_b, int(dist_a[b])
 
 
 def classify_fixed_nodes(g: Graph, a: int, b: int) -> list[bool]:
     """Flag per node: True iff it lies on some shortest path between the pair.
-
-    Nodes unreachable from the pair's component are free.
-    """
+    Every node must be reachable from the pair."""
     dist_a, dist_b, k = _pair_distances(g, a, b)
-    return [
-        dist_a[v] is not None and dist_b[v] is not None and dist_a[v] + dist_b[v] == k
-        for v in range(g.n)
-    ]
+    return (dist_a + dist_b == k).tolist()
 
 
-def _levels(
-    dist_a: list | np.ndarray, dist_b: list | np.ndarray, a: int, b: int, k: int
-) -> np.ndarray:
-    """Clique-chain level of every node for the pair ``(a, b)`` at distance ``k``.
+def _levels(dist_a: np.ndarray, dist_b: np.ndarray, k: int) -> np.ndarray:
+    """Clique-chain level of every node for a pair at distance ``k``, from the
+    distance arrays of its two ends ``a`` and ``b``.
 
     Depth from ``a`` if at most ``k // 2``, else ``k`` minus depth from ``b``
     if that depth is at most ``(k - 1) // 2``, else the middle ``k // 2``
     (1 when ``k = 1``, so level 0 stays ``{a}``). Geodesic nodes thus sit at
     their depth from ``a``. A chain joins the node pairs at most one level apart.
-    The distances are BFS lists or int arrays; arrays are used as they are.
     """
-    da, db = np.asarray(dist_a), np.asarray(dist_b)
-    if db.dtype == object:  # a list holding None; a reaches b, so that node is cut off from both
-        raise DisconnectedGraphError(
-            f"node {dist_b.index(None)} is unreachable from the pair ({a},{b})"
-        )
-    near_b = np.where(db <= (k - 1) // 2, k - db, max(k // 2, 1))
-    return np.where(da <= k // 2, da, near_b)
+    near_b = np.where(dist_b <= (k - 1) // 2, k - dist_b, max(k // 2, 1))
+    return np.where(dist_a <= k // 2, dist_a, near_b)
 
 
 def _chain_mask(level: np.ndarray) -> np.ndarray:
@@ -150,8 +127,9 @@ def _edges(mask: np.ndarray, nodes: np.ndarray) -> frozenset[Edge]:
     return frozenset(zip(np.minimum(u, w).tolist(), np.maximum(u, w).tolist()))
 
 
-def level_partition(g: Graph, a: int, b: int) -> LevelPartition:
-    """Split all nodes into the k+1 levels used by the clique-chain construction.
+def level_partition(g: Graph, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Split all nodes into the k+1 levels used by the clique-chain construction,
+    level 0 being ``(a,)``; every node must be reachable from the pair.
 
     Geodesic nodes sit at their distance from ``a``; an off-geodesic node
     keeps its distance from whichever endpoint is within the near half,
@@ -159,33 +137,37 @@ def level_partition(g: Graph, a: int, b: int) -> LevelPartition:
     """
     dist_a, dist_b, k = _pair_distances(g, a, b)
     levels: list[list[int]] = [[] for _ in range(k + 1)]
-    for v, level in enumerate(_levels(dist_a, dist_b, a, b, k).tolist()):
+    for v, level in enumerate(_levels(dist_a, dist_b, k).tolist()):
         levels[level].append(v)
-    return LevelPartition(a=a, b=b, levels=tuple(map(tuple, levels)))
+    return tuple(map(tuple, levels))
 
 
-def build_clique_chain(partition: LevelPartition) -> frozenset[Edge]:
-    """All within-level plus consecutive-level edges over the partition, which
-    may hold at most ``DENSE_NODE_GUARD`` nodes."""
-    nodes = np.array([v for level in partition.levels for v in level], dtype=np.intp)
-    sizes = [len(level) for level in partition.levels]
+def build_clique_chain(levels: Sequence[Sequence[int]]) -> frozenset[Edge]:
+    """All within-level plus consecutive-level edges over the levels, which
+    must hold distinct non-negative node ids, at most ``DENSE_NODE_GUARD``."""
+    nodes = np.array([v for level in levels for v in level], dtype=np.intp)
+    ids, counts = np.unique(nodes, return_counts=True)
+    bad = ids[(ids < 0) | (counts > 1)]
+    if bad.size:
+        raise ValueError(f"node {bad[0]} is negative or repeated in the levels")
+    sizes = [len(level) for level in levels]
     return _edges(_chain_mask(np.repeat(np.arange(len(sizes)), sizes)), nodes)
 
 
-def _upper_bound(g: Graph, dist: dict[int, list[int]], pairs: list[tuple[int, int]]) -> int:
+def _upper_bound(g: Graph, dist: dict[int, np.ndarray], pairs: list[tuple[int, int]]) -> int:
     """Missing edges that no monitored pair rules out.
 
     A node pair is ruled out when both nodes lie on a common geodesic of a
-    monitored pair at levels two or more apart: adding it would create a
-    shortcut on that geodesic. Such a pair is never already an edge (the
-    edge would be that shortcut), so the complement is never enumerated.
+    monitored pair at depths two or more apart (a geodesic node's level is its
+    depth): adding it would create a shortcut on that geodesic. Such a pair
+    is never already an edge (the edge would be that shortcut), so the
+    complement is never enumerated.
     """
-    at = {s: np.array(d) for s, d in dist.items()}
     forbidden = np.zeros((g.n, g.n), dtype=bool)
     for a, b in pairs:
-        k = dist[a][b]
-        on = np.flatnonzero(at[a] + at[b] == k)
-        forbidden[np.ix_(on, on)] |= ~_chain_mask(_levels(at[a], at[b], a, b, k)[on])
+        on = np.flatnonzero(dist[a] + dist[b] == dist[a][b])
+        depth = dist[a][on]
+        forbidden[np.ix_(on, on)] |= np.abs(depth[:, None] - depth[None, :]) >= 2
     return g.n * (g.n - 1) // 2 - g.num_edges() - int(np.count_nonzero(forbidden)) // 2
 
 
@@ -198,7 +180,7 @@ def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
     """
     start = time.perf_counter()
     dist_a, dist_b, k = _pair_distances(g, a, b)
-    edges_after = _edges(_chain_mask(_levels(dist_a, dist_b, a, b, k)), np.arange(g.n))
+    edges_after = _edges(_chain_mask(_levels(dist_a, dist_b, k)), np.arange(g.n))
     return AugmentationResult(
         algorithm="clique-chain",
         edges_before=g.edges,
@@ -224,7 +206,7 @@ def augment_pair_brute_force(g: Graph, a: int, b: int) -> tuple[int, frozenset[E
     best: list[Edge] = sorted(augment_pair(g, a, b).added)
     dist_a, dist_b, k = _pair_distances(g, a, b)
 
-    def single_edge_ok(edge: Edge, da: list[int], db: list[int]) -> bool:
+    def single_edge_ok(edge: Edge, da: Sequence[int], db: Sequence[int]) -> bool:
         u, v = edge
         return min(da[u] + db[v], da[v] + db[u]) + 1 >= k
 
@@ -254,11 +236,11 @@ def augment_pair_brute_force(g: Graph, a: int, b: int) -> tuple[int, frozenset[E
 
 def _instance(
     g: Graph, leaders: Sequence[int], pmi: PMISequence
-) -> tuple[list[tuple[int, int]], dict[int, list[int]]]:
+) -> tuple[list[tuple[int, int]], dict[int, np.ndarray]]:
     """Check the PMI sequence against the graph, once per augmenter call.
 
-    Returns the monitored (leader, PMI node) pairs and one BFS distance array
-    per source (leaders and PMI nodes). Every caller holds node pairs in
+    Returns the monitored (leader, PMI node) pairs and one BFS distance int
+    array per source (leaders and PMI nodes). Every caller holds node pairs in
     O(n^2) memory, so the graph must have at most ``DENSE_NODE_GUARD`` nodes.
     """
     _guard_dense(g.n, "edge augmentation")
@@ -266,11 +248,10 @@ def _instance(
     nodes = pmi.nodes()
     # bfs_distances rejects out-of-range nodes; the witness pass rejects a
     # repeated node, whose two equal vectors admit no witness.
-    dist = {s: bfs_distances(g, s) for s in set(leaders) | set(nodes)}
-    if any(None in d for d in dist.values()):
-        raise DisconnectedGraphError("distance-to-leader vectors need a connected graph")
+    sources = sorted(set(leaders) | set(nodes))
+    dist = dict(zip(sources, _checked_distances(g, sources)))
     for dv in pmi.vectors:
-        actual = tuple(dist[ell][dv.node] for ell in leaders)
+        actual = tuple(int(dist[ell][dv.node]) for ell in leaders)
         if dv.dist != actual:
             raise ValueError(
                 f"PMI vector for node {dv.node} does not match the graph: "
@@ -288,7 +269,7 @@ def _instance(
             raise ValueError(f"PMI witness {w} for node {dv.node} does not hold")
         mins = list(map(min, mins, dv.dist))
     pairs = [(ell, v) for ell in leaders for v in nodes if ell != v]
-    return pairs, dist  # type: ignore[return-value]
+    return pairs, dist
 
 
 def addable_edge_upper_bound(g: Graph, leaders: Sequence[int], pmi: PMISequence) -> int:
@@ -316,7 +297,7 @@ def augment_intersection(
     pairs, dist = _instance(g, leaders, pmi)
     keep = np.ones((g.n, g.n), dtype=bool)
     for ell, v in pairs:
-        keep &= _chain_mask(_levels(dist[ell], dist[v], ell, v, dist[ell][v]))
+        keep &= _chain_mask(_levels(dist[ell], dist[v], dist[ell][v]))
     edges_after = _edges(keep, np.arange(g.n))
     return AugmentationResult(
         algorithm="intersection",
@@ -373,21 +354,21 @@ def augment_randomized(
     watched = {v for _, v in pairs}
     sources = sorted(watched - led) + sorted(watched & led) + sorted(led - watched)
     lead = len(watched - led)
+    # at[z, i] = d(sources[i], z); the reshape keeps n rows when nothing is monitored.
+    at = np.array([base_dist[s] for s in sources], dtype=np.intp).reshape(len(sources), g.n).T
     # spans[j][k] = d(l_k, v_j) - 1, or a floor below every threshold when l_k == v_j.
-    spans = [
-        [base_dist[ell][v] - 1 if ell != v else -2 * g.n for ell in sources[lead:]]
-        for v in sources[: len(watched)]
-    ]
+    span_at = at[sources[: len(watched)], lead:]
+    spans = np.where(span_at > 0, span_at - 1, -2 * g.n).tolist()
 
     def thresholds(row: list[int]) -> list[int]:
         tail = row[lead:]
         return [max(map(sub, span, tail)) for span in spans]
 
-    base_rows = [[base_dist[s][z] for s in sources] for z in range(g.n)]
+    base_rows = at.tolist()
     base_need = [thresholds(row) for row in base_rows]
     comp = sorted(complement_edges(g))
     lo, hi = np.array(comp, dtype=np.intp).reshape(-1, 2).T
-    at, needs = np.array(base_rows), np.array(base_need)
+    needs = np.array(base_need)
     base_legal = np.ones(len(comp), dtype=bool)
     for j in range(len(watched)):
         base_legal &= (at[hi, j] >= needs[lo, j]) & (at[lo, j] >= needs[hi, j])

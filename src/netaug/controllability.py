@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, SizeGuardError
-from .graphs import Graph, _json_int, bfs_distances, is_connected, laplacian
+from .graphs import Graph, _checked_distances, _json_int, is_connected, laplacian
 
 __all__ = [
     "DistanceVector",
@@ -121,17 +121,8 @@ def distance_to_leader_vectors(g: Graph, leaders: Sequence[int]) -> list[Distanc
 
     Requires a connected graph (one BFS pass per leader).
     """
-    leaders = _check_leaders(g, leaders)
-    per_leader = []
-    for ell in leaders:
-        dist = bfs_distances(g, ell)
-        if None in dist:
-            raise DisconnectedGraphError("distance-to-leader vectors need a connected graph")
-        per_leader.append(dist)
-    return [
-        DistanceVector(v, tuple(per_leader[j][v] for j in range(len(leaders))))
-        for v in range(g.n)
-    ]
+    columns = _checked_distances(g, _check_leaders(g, leaders)).T.tolist()
+    return [DistanceVector(v, tuple(dist)) for v, dist in enumerate(columns)]
 
 
 def _witness(vec: Sequence[int], mins: Sequence[float]) -> int | None:

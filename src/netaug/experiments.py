@@ -62,6 +62,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if not self.parameters:
             raise ValueError("parameter grid must not be empty")
+        for value in self.parameters:
+            if self.model == "erdos-renyi" and not 0.0 <= value <= 1.0:
+                raise ValueError(f"edge probability must lie in [0, 1], got {value!r}")
+            if self.model == "barabasi-albert" and not (
+                1 <= value < self.n and float(value).is_integer()
+            ):
+                raise ValueError(
+                    f"attachment count must be an integer with 1 <= gamma < n, got {value!r}"
+                )
         if not self.leader_counts:
             raise ValueError("leader count list must not be empty")
         for count in self.leader_counts:

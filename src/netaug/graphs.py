@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgeListParseError, SizeGuardError
+from .errors import DisconnectedGraphError, EdgeListParseError, SizeGuardError
 
 Edge = tuple[int, int]
 
@@ -121,6 +121,20 @@ def bfs_distances(g: Graph, source: int) -> list[int | None]:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
+
+
+def _checked_distances(g: Graph, sources) -> np.ndarray:
+    """Hop distances as an int array, one row per source. Every node must be
+    reachable: ``DisconnectedGraphError`` names one that a source cannot reach."""
+    rows = np.empty((len(sources), g.n), dtype=np.intp)
+    for row, source in zip(rows, sources):
+        dist = bfs_distances(g, source)
+        if None in dist:
+            raise DisconnectedGraphError(
+                f"node {dist.index(None)} is unreachable from node {source}"
+            )
+        row[:] = dist
+    return rows
 
 
 def is_connected(g: Graph) -> bool:

@@ -9,7 +9,6 @@ from netaug import (
     DisconnectedGraphError,
     DistanceVector,
     Graph,
-    LevelPartition,
     PMISequence,
     SizeGuardError,
     addable_edge_upper_bound,
@@ -66,16 +65,13 @@ class TestClassifyFixedNodes:
 
 class TestLevelPartition:
     def test_path(self):
-        part = level_partition(path_graph(4), 0, 3)
-        assert part.levels == ((0,), (1,), (2,), (3,))
+        assert level_partition(path_graph(4), 0, 3) == ((0,), (1,), (2,), (3,))
 
     def test_star_free_leaves_fall_to_middle(self):
-        part = level_partition(star_with_leaf_pair(), 0, 1)
-        assert part.levels == ((0,), (2, 3, 4), (1,))
+        assert level_partition(star_with_leaf_pair(), 0, 1) == ((0,), (2, 3, 4), (1,))
 
     def test_cycle_antipodal(self):
-        part = level_partition(cycle_graph(4), 0, 2)
-        assert part.levels == ((0,), (1, 3), (2,))
+        assert level_partition(cycle_graph(4), 0, 2) == ((0,), (1, 3), (2,))
 
     def test_invariants_on_random_instances(self):
         rng = np.random.default_rng(3)
@@ -84,16 +80,16 @@ class TestLevelPartition:
             a, b = rng.choice(9, size=2, replace=False)
             a, b = int(a), int(b)
             k = bfs_distances(g, a)[b]
-            part = level_partition(g, a, b)
+            levels = level_partition(g, a, b)
             fixed = classify_fixed_nodes(g, a, b)
             dist_a = bfs_distances(g, a)
-            assert part.k == k
-            assert part.levels[0] == (a,)
+            assert len(levels) - 1 == k
+            assert levels[0] == (a,)
             if k >= 2:
-                assert part.levels[-1] == (b,)
-            all_nodes = [v for level in part.levels for v in level]
+                assert levels[-1] == (b,)
+            all_nodes = [v for level in levels for v in level]
             assert sorted(all_nodes) == list(range(9))
-            for lvl, level in enumerate(part.levels):
+            for lvl, level in enumerate(levels):
                 assert level, "every level must be non-empty"
                 for v in level:
                     if fixed[v]:
@@ -102,18 +98,26 @@ class TestLevelPartition:
     def test_chain_contains_original_and_counts_match(self):
         for seed in range(10):
             g = random_connected_graph(8, 0.35, seed=seed + 60)
-            part = level_partition(g, 0, 7)
-            chain = build_clique_chain(part)
+            levels = level_partition(g, 0, 7)
+            chain = build_clique_chain(levels)
             assert g.edges <= chain
-            sizes = [len(level) for level in part.levels]
+            sizes = [len(level) for level in levels]
             expected = sum(s * (s - 1) // 2 for s in sizes) + sum(
                 sizes[i] * sizes[i + 1] for i in range(len(sizes) - 1)
             )
             assert len(chain) == expected
 
     def test_chain_over_node_ids_not_covering_a_range(self):
-        part = LevelPartition(a=5, b=7, levels=((5,), (2, 9), (7,)))
-        assert build_clique_chain(part) == {(2, 9), (2, 5), (5, 9), (2, 7), (7, 9)}
+        levels = ((5,), (2, 9), (7,))
+        assert build_clique_chain(levels) == {(2, 9), (2, 5), (5, 9), (2, 7), (7, 9)}
+
+    @pytest.mark.parametrize(
+        "levels, node",
+        [(((0,), (1, 0), (2,)), 0), (((3,), (4,), (4,)), 4), (((-1,), (2,)), -1)],
+    )
+    def test_chain_rejects_repeated_or_negative_node(self, levels, node):
+        with pytest.raises(ValueError, match=f"node {node} "):
+            build_clique_chain(levels)
 
 
 class TestAugmentPair:
@@ -164,8 +168,9 @@ class TestAugmentPair:
 
     def test_node_unreachable_from_pair(self):
         for g, b in ((Graph(4, [(0, 1), (1, 2)]), 2), (Graph(3, [(0, 1)]), 1)):
-            for solve in (augment_pair, augment_pair_brute_force):
-                with pytest.raises(DisconnectedGraphError):
+            for solve in (augment_pair, augment_pair_brute_force, classify_fixed_nodes,
+                          level_partition):
+                with pytest.raises(DisconnectedGraphError, match="node 2|node 3"):
                     solve(g, 0, b)
 
 
@@ -223,7 +228,7 @@ class TestBruteForce:
             assert all(da[v] + db[v] == k for v in range(6))
             levels = [tuple(sorted(v for v in range(6) if da[v] == i)) for i in range(k + 1)]
             chain = build_clique_chain(level_partition(best, 0, b))
-            assert level_partition(best, 0, b).levels == tuple(levels)
+            assert level_partition(best, 0, b) == tuple(levels)
             assert chain == edges
 
 
@@ -246,6 +251,22 @@ def scan_instances(draw, min_n=4, max_n=10):
         g = Graph(n, [(label[p], label[v]) for v, p in enumerate(parent, start=1)])
     leaders = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)))
     return g, leaders, pmi_setup(g, leaders)
+
+
+class TestSinglePairProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(scan_instances(min_n=2, max_n=12), st.data())
+    def test_fixed_nodes_and_levels_match_min_plus(self, instance, data):
+        g = instance[0]
+        a, b = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        dist = all_pairs_min_plus(g)
+        fixed = classify_fixed_nodes(g, a, b)
+        assert fixed == [bool(dist[a, v] + dist[v, b] == dist[a, b]) for v in range(g.n)]
+        levels = level_partition(g, a, b)
+        assert len(levels) == dist[a, b] + 1 and levels[0] == (a,)
+        assert sorted(v for level in levels for v in level) == list(range(g.n))
+        for depth, level in enumerate(levels):
+            assert all(depth == dist[a, v] for v in level if fixed[v])
 
 
 class TestIntersection:

@@ -233,6 +233,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
 
+    def test_config_fractional_attachment_count_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "barabasi-albert", "n": 8, "parameters": [2.5],
+                                   "leader_counts": [2]}))
+        assert cli(["experiment", "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "attachment count must be an integer" in err and "2.5" in err
+        assert err.count("\n") == 1
+
     def test_config_flag_of_wrong_type_is_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": [0.5],

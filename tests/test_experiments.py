@@ -39,6 +39,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(instances=0)
 
+    @pytest.mark.parametrize(
+        "model, value",
+        [
+            ("barabasi-albert", 2.5),
+            ("barabasi-albert", 0),
+            ("barabasi-albert", 10),
+            ("barabasi-albert", float("nan")),
+            ("erdos-renyi", 1.5),
+            ("erdos-renyi", -0.1),
+        ],
+    )
+    def test_parameter_outside_model_range_rejected(self, model, value):
+        with pytest.raises(ValueError, match="edge probability|attachment count"):
+            small_config(model=model, parameters=(value,))
+
+    def test_integral_float_attachment_count_accepted(self):
+        assert small_config(model="barabasi-albert", parameters=(2.0,)).parameters == (2.0,)
+
     def test_json_round_trip(self):
         config = small_config()
         assert ExperimentConfig.from_json(config.to_json()) == config
