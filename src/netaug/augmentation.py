@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from operator import ge, sub
 from typing import Sequence
 
@@ -144,8 +145,12 @@ def level_partition(g: Graph, a: int, b: int) -> tuple[tuple[int, ...], ...]:
 
 def build_clique_chain(levels: Sequence[Sequence[int]]) -> frozenset[Edge]:
     """All within-level plus consecutive-level edges over the levels, which
-    must hold distinct non-negative node ids, at most ``DENSE_NODE_GUARD``."""
-    nodes = np.array([v for level in levels for v in level], dtype=np.intp)
+    must hold distinct non-negative integer node ids, at most ``DENSE_NODE_GUARD``."""
+    flat = [v for level in levels for v in level]
+    fractional = [v for v in flat if not isinstance(v, Integral)]
+    if fractional:
+        raise ValueError(f"node {fractional[0]!r} is not an integer in the levels")
+    nodes = np.array(flat, dtype=np.intp)
     ids, counts = np.unique(nodes, return_counts=True)
     bad = ids[(ids < 0) | (counts > 1)]
     if bad.size:

@@ -266,9 +266,14 @@ def _residues(matrix: np.ndarray, prime: int) -> np.ndarray:
     return arr.astype(np.int64) % prime
 
 
-def _rank_mod(laplacian: np.ndarray, inputs: np.ndarray, prime: int) -> int:
+def _rank_mod(
+    laplacian: np.ndarray, inputs: np.ndarray, prime: int, target: int | None = None
+) -> int:
     """Krylov dimension of ``inputs`` under ``-laplacian`` mod ``prime``, one block at a
-    time: reduce the block against the RREF basis, eliminate within it, step its new rows."""
+    time: reduce the block against the RREF basis, eliminate within it, step its new rows.
+
+    With a ``target``, stops after the first block that brings the proved rank to at
+    least ``target`` and returns that rank (it may overshoot by less than a block)."""
     lap, mat_b = _residues(laplacian, prime), _residues(inputs, prime)
     n = lap.shape[0] if lap.ndim == 2 else -1
     if lap.shape != (n, n) or mat_b.ndim != 2 or mat_b.shape[0] != n:
@@ -289,6 +294,8 @@ def _rank_mod(laplacian: np.ndarray, inputs: np.ndarray, prime: int) -> int:
                 new_pivots.append(col)
         if not rows:
             return len(pivots)
+        if target is not None and len(pivots) + len(rows) >= target:
+            return len(pivots) + len(rows)
         block = np.array(rows)
         basis = np.vstack([(basis - _mulmod(basis[:, new_pivots], block, prime)) % prime, block])
         pivots += new_pivots
@@ -299,13 +306,19 @@ def controllability_rank(laplacian: np.ndarray, inputs: np.ndarray) -> int:
     """Rank of ``[B, -LB, (-L)^2 B, ..., (-L)^(n-1) B]`` modulo a prime near 2**31.
 
     Takes integer-valued matrices (``ValueError`` otherwise). The rank mod p never
-    exceeds the rational rank, so the result is a proved lower bound on it."""
+    exceeds the rational rank, so the result is a proved lower bound on it. This is
+    always the full Krylov rank; only ``validate_ssc_bound`` stops at its bound."""
     return _rank_mod(laplacian, inputs, _PRIME)
 
 
 @dataclass(frozen=True)
 class RankValidationReport:
-    """Result of sampling random weights against a claimed rank bound."""
+    """Result of sampling random weights against a claimed rank bound.
+
+    ``ranks[t]`` is the rank proved for trial ``t`` when its elimination stopped:
+    at least ``claimed_bound`` (possibly less than the full rank) when the trial
+    passes, the full proved rank when it falls short. ``min_rank`` is their minimum.
+    """
 
     claimed_bound: int
     trials: int
@@ -337,9 +350,12 @@ def validate_ssc_bound(
     """Check that the controllability rank stays >= ``bound`` under random weights.
 
     Each trial draws integer edge weights uniform on ``[1, p)`` from stream
-    ``default_rng([seed, trial])`` and takes the rank exactly mod p, so a pass proves
-    the bound for those weights; a shortfall is re-checked with a second prime. The
-    bound holds for *all* positive weights, so a failure indicates an implementation bug.
+    ``default_rng([seed, trial])`` and grows the Krylov basis exactly mod p until the
+    proved rank reaches ``bound``, so a pass proves the bound for those weights; a
+    shortfall runs to the full rank and is re-checked with a second prime. ``ranks``
+    are therefore the ranks proved at the stop (see ``RankValidationReport``); use
+    ``controllability_rank`` for the full rank. The bound holds for *all* positive
+    weights, so a failure indicates an implementation bug.
     The graph must be connected, with at most ``DENSE_NODE_GUARD`` nodes.
     """
     leaders = _check_leaders(g, leaders)
@@ -356,9 +372,9 @@ def validate_ssc_bound(
     for trial in range(trials):
         weights = np.random.default_rng([seed, trial]).integers(1, _PRIME, size=u.size)
         lap = laplacian(g.n, u, v, weights)
-        rank = _rank_mod(lap, mat_b, _PRIME)
+        rank = _rank_mod(lap, mat_b, _PRIME, target=bound)
         if rank < bound:  # both ranks are proved lower bounds; 2**31 - 1 is prime
-            rank = max(rank, _rank_mod(lap, mat_b, 2**31 - 1))
+            rank = max(rank, _rank_mod(lap, mat_b, 2**31 - 1, target=bound))
         if rank < bound and failing is None:
             failing = weights
         ranks.append(rank)

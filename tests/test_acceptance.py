@@ -308,14 +308,15 @@ def test_a9_seeded_entry_points_are_byte_identical(tmp_path):
 
 
 #: sha256 of each A9 output. The experiment digest covers the CSV without its
-#: kirchhoff_* columns, whose last digits depend on the LAPACK build.
+#: kirchhoff_* columns, whose last digits depend on the LAPACK build. The
+#: validate report's ranks are those proved when each trial reached its bound.
 A9_DIGESTS = {
     "gen-er": "7611db82628ea8b33c308a0e99139c755f716a5b6a3cbb07c2a17863d807cc81",
     "gen-ba": "3f0f6d7d0161f9854a0b02a60f95e22ebfafa4436fd6a83532f276881da6f412",
     "pmi": "455d930bbe32041f394836e39f18293a0eaaefb64c374fbc2d29f35d34317b25",
     "augment-intersect": "6d9d3959a4ded7db6567aa5e742cdfa208a72301f777984272db52a973e566c1",
     "augment-random": "e912d61e654f00f38e5261ce9f3112169031af71845a14f68e88985fe77d48d5",
-    "validate": "2bbf4ca3960d77a388722e6b5eefe8f5fa66659f914c69ee88800c763e99471c",
+    "validate": "384f760b59f901e11565e54e3479fd9108416e4b9d226a34f8f9cca301ef27e2",
     "experiment": "d13fa6940de418d6488c934343c06ea0c1c3cfe8839ae77b62a6b6dab2e3f93e",
 }
 

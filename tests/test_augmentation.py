@@ -119,6 +119,14 @@ class TestLevelPartition:
         with pytest.raises(ValueError, match=f"node {node} "):
             build_clique_chain(levels)
 
+    @pytest.mark.parametrize("node", [2.5, 2.0, "2", None])
+    def test_chain_rejects_non_integer_node(self, node):
+        with pytest.raises(ValueError, match=f"node {node!r} is not an integer"):
+            build_clique_chain(((0,), (node,)))
+
+    def test_chain_accepts_numpy_integer_ids(self):
+        assert build_clique_chain(((np.int64(0),), (np.int32(2),))) == {(0, 2)}
+
 
 class TestAugmentPair:
     def test_star_leaf_pair(self):

@@ -22,6 +22,7 @@ from netaug import (
     pmi_greedy,
     validate_ssc_bound,
 )
+from netaug.controllability import _PRIME, _rank_mod
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     brute_pmi_length,
@@ -270,6 +271,22 @@ class TestControllabilityRank:
         with pytest.raises(ValueError, match="integer-valued"):
             controllability_rank(lap, input_matrix(2, (0,)))
 
+    @pytest.mark.parametrize(
+        "g, leaders",
+        [(random_connected_graph(12, 0.4, seed=3), (0, 5, 9)), (path_graph(60), (0,))],
+    )
+    def test_target_stops_within_one_block_of_it(self, g, leaders):
+        weights = np.random.default_rng(8).integers(1, _PRIME, size=g.num_edges())
+        lap, inputs = graph_laplacian(g, weights), input_matrix(g.n, leaders)
+        full = controllability_rank(lap, inputs)
+        assert _rank_mod(lap, inputs, _PRIME, target=None) == full
+        for target in range(1, full + 3):
+            rank = _rank_mod(lap, inputs, _PRIME, target=target)
+            if target >= full:
+                assert rank == full
+            else:
+                assert target <= rank < target + len(leaders)
+
 
 class TestValidateBound:
     def test_path_full_rank(self):
@@ -285,6 +302,7 @@ class TestValidateBound:
         report = validate_ssc_bound(path_graph(3), (0,), bound=4, trials=5, seed=0)
         assert not report.passed
         assert report.failing_weights is not None
+        assert report.min_rank == 3
 
     def test_rank_at_least_pmi_per_sample(self):
         for seed in range(5):
@@ -319,17 +337,17 @@ class TestValidateBound:
 
 
 @st.composite
-def weighted_instances(draw, min_n=1):
-    """A connected graph on at most 7 nodes (random tree plus extra edges),
+def weighted_instances(draw, min_n=1, max_n=7, max_leaders=None):
+    """A connected graph on at most ``max_n`` nodes (random tree plus extra edges),
     int64 weights 1-50 (one per sorted edge) and a random ordered leader set."""
-    n = draw(st.integers(min_n, 7))
+    n = draw(st.integers(min_n, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     g = Graph(n, edges | extra)
     weights = np.array([draw(st.integers(1, 50)) for _ in g.sorted_edges()], dtype=np.int64)
     order = draw(st.permutations(range(n)))
-    leaders = tuple(order[: draw(st.integers(1, n))])
+    leaders = tuple(order[: draw(st.integers(1, min(n, max_leaders or n)))])
     return g, weights, leaders
 
 
@@ -354,6 +372,24 @@ class TestRankProperties:
             h = Graph(g.n, result.edges_after)
             report = validate_ssc_bound(h, leaders, len(pmi), trials=3, seed=seed)
             assert report.passed, (sorted(g.edges), leaders, report.ranks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_instances(max_n=9, max_leaders=3), st.data(), st.integers(0, 2**16))
+    def test_stopped_ranks_decide_the_bound_like_the_oracle(self, instance, data, seed):
+        g, _, leaders = instance
+        bound = data.draw(st.integers(1, g.n + 1))
+        report = validate_ssc_bound(g, leaders, bound, trials=3, seed=seed)
+        inputs = input_matrix(g.n, leaders)
+        verdicts = []
+        for trial, rank in enumerate(report.ranks):
+            weights = np.random.default_rng([seed, trial]).integers(1, _PRIME, size=g.num_edges())
+            full = krylov_rank_oracle(graph_laplacian(g, weights), inputs)
+            assert rank <= full and (rank >= bound) == (full >= bound)
+            if rank < bound:
+                assert rank == full
+            verdicts.append(full >= bound)
+        assert report.passed == all(verdicts)
+        assert report.min_rank == min(report.ranks)
 
 
 class TestKirchhoffIndex:
