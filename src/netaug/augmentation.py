@@ -23,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass
 from numbers import Integral
-from operator import ge, sub
+from operator import lshift
 from typing import Sequence
 
 import numpy as np
@@ -315,6 +315,11 @@ def augment_intersection(
     )
 
 
+def _value_bits(guard_bits: int, w: int) -> int:
+    """The value bits of every ``w``-bit field whose guard bit is set in ``guard_bits``."""
+    return guard_bits - (guard_bits >> (w - 1))
+
+
 def augment_randomized(
     g: Graph,
     leaders: Sequence[int],
@@ -335,82 +340,111 @@ def augment_randomized(
     - Per monitored node ``v`` and node ``x``, the threshold
       ``need_v(x) = max_l(d(l, v) - d_l(x) - 1)`` over leaders ``l != v``
       makes edge ``(x, y)`` legal iff ``d_v(y) >= need_v(x)`` and
-      ``d_v(x) >= need_v(y)`` for every monitored ``v``: one comparison per
-      monitored node rather than per pair.
+      ``d_v(x) >= need_v(y)`` for every monitored ``v``.
     - Distances only fall as edges are added, so an edge illegal on the input
       graph stays illegal. Every edge is tested once on the input graph and
       the illegal ones are dropped from each shuffled order.
-    - An edge is re-tested only when an endpoint is dirty, i.e. one of its
-      source distances has fallen during the repetition; otherwise its verdict
-      on the input graph still holds. Inserting an edge relaxes a source's
-      distances by BFS only when the endpoints' distances from that source
-      differ by two or more; the nodes it lowers become dirty, and thresholds
-      are recomputed for the nodes whose leader distance fell.
+    - Each node ``x`` packs its source distances into one int ``P[x]``, one
+      ``w``-bit field per source with the field's top (guard) bit set, and
+      its thresholds, clamped at 0, into a second int ``N[x]``. One
+      subtraction then tests all monitored nodes at once: ``(x, y)`` is
+      legal iff every guard bit survives ``P[y] - N[x]`` and ``P[x] - N[y]``.
+      After an insertion, the guard bits that survive ``P[x] - P[y] - 2`` or
+      ``P[y] - P[x] - 2`` name the sources whose endpoint distances differ
+      by two or more; only those are relaxed by BFS. When leader ``l``'s
+      distance to a node falls to ``d``, only the ``l`` term of its
+      thresholds rises, so they become the field-wise maximum of the old
+      ones and ``max(d(l, v) - 1 - d, 0)``.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     start = time.perf_counter()
     pairs, base_dist = _instance(g, leaders, pmi)
-    # Each node keeps one row of source distances: monitored non-leaders,
-    # monitored leaders, then the other leaders. Zipping a row with a
-    # threshold list pairs each d_v with need_v; ``row[lead:]`` holds the
-    # leader distances.
+    # Source order: monitored non-leaders, monitored leaders, other leaders;
+    # the first ``m`` sources are monitored and ``sources[lead:]`` are leaders.
     led = {ell for ell, _ in pairs}
     watched = {v for _, v in pairs}
     sources = sorted(watched - led) + sorted(watched & led) + sorted(led - watched)
-    lead = len(watched - led)
+    lead, m = len(watched - led), len(watched)
     # at[z, i] = d(sources[i], z); the reshape keeps n rows when nothing is monitored.
     at = np.array([base_dist[s] for s in sources], dtype=np.intp).reshape(len(sources), g.n).T
-    # spans[j][k] = d(l_k, v_j) - 1, or a floor below every threshold when l_k == v_j.
-    span_at = at[sources[: len(watched)], lead:]
-    spans = np.where(span_at > 0, span_at - 1, -2 * g.n).tolist()
-
-    def thresholds(row: list[int]) -> list[int]:
-        tail = row[lead:]
-        return [max(map(sub, span, tail)) for span in spans]
-
-    base_rows = at.tolist()
-    base_need = [thresholds(row) for row in base_rows]
+    # span[j, k] = d(l_k, v_j) - 1, which is -1 when leader k is monitored node j.
+    span = at[sources[:m], lead:] - 1
+    # need[z, j] = max(need_{v_j}(z), 0), one leader at a time to stay O(n * m).
+    need = np.zeros((g.n, m), dtype=np.intp)
+    for k in range(len(sources) - lead):
+        np.maximum(need, span[:, k] - at[:, lead + k, None], out=need)
     comp = sorted(complement_edges(g))
     lo, hi = np.array(comp, dtype=np.intp).reshape(-1, 2).T
-    needs = np.array(base_need)
     base_legal = np.ones(len(comp), dtype=bool)
-    for j in range(len(watched)):
-        base_legal &= (at[hi, j] >= needs[lo, j]) & (at[lo, j] >= needs[hi, j])
+    for j in range(m):
+        base_legal &= (at[hi, j] >= need[lo, j]) & (at[lo, j] >= need[hi, j])
+
+    # Field i of a packed int spans bits [i*w, i*w + w): a value below
+    # ``guard`` plus, for distances, the guard bit itself. Subtracting values
+    # below ``guard`` field by field then never borrows across fields, and a
+    # field's guard bit survives iff its difference is non-negative.
+    w = (g.n + 1).bit_length() + 1
+    guard = 1 << (w - 1)
+    shifts = [i * w for i in range(len(sources))]
+    guards = sum(guard << s for s in shifts)
+    lift = guards - sum(2 << s for s in shifts)
+    ones = sum(1 << s for s in shifts[:m])
+
+    def pack(rows: list[list[int]]) -> list[int]:
+        return [sum(map(lshift, row, shifts)) for row in rows]
+
+    base_p = pack((at + guard).tolist())
+    # The BFS reads and writes per-source distance lists, kept equal to the fields.
+    base_cols = at.T.tolist()
+    base_n = pack(need.tolist())
+    # spans[k] - d * ones packs guard + span[j, k] - d per monitored node j.
+    spans = pack((span.T + guard).tolist())
 
     best_added: list[Edge] = []
     for rep in range(repetitions):
         perm = np.random.default_rng([seed, rep]).permutation(len(comp))
         adj = [set(s) for s in g.adjacency]
-        rows = [list(r) for r in base_rows]
-        need = list(base_need)
-        dirty = [False] * g.n
+        packed, need_at = list(base_p), list(base_n)  # P and N of the docstring
+        dist = [list(col) for col in base_cols]
         added: list[Edge] = []
-        for k in perm[base_legal[perm]].tolist():
-            x, y = comp[k]
-            if (dirty[x] or dirty[y]) and not (
-                all(map(ge, rows[y], need[x])) and all(map(ge, rows[x], need[y]))
-            ):
+        order = perm[base_legal[perm]]
+        for x, y in zip(lo[order].tolist(), hi[order].tolist()):
+            px, py = packed[x], packed[y]
+            if (py - need_at[x]) & (px - need_at[y]) & guards != guards:
                 continue
             adj[x].add(y)
             adj[y].add(x)
             added.append((x, y))
-            for i, gap in enumerate(map(sub, rows[x], rows[y])):
-                if -2 < gap < 2:
-                    continue
-                node, d = (x, rows[y][i] + 1) if gap > 0 else (y, rows[x][i] + 1)
-                rows[node][i] = d
+            gap = px - py
+            far = ((gap + lift) | (lift - gap)) & guards
+            while far:
+                top = far.bit_length()
+                far ^= 1 << (top - 1)
+                i = top // w - 1
+                shift = shifts[i]
+                di = dist[i]
+                node, d = (x, di[y] + 1) if di[x] > di[y] else (y, di[x] + 1)
+                packed[node] -= (di[node] - d) << shift
+                di[node] = d
                 queue = [node]
                 for u in queue:
-                    dirty[u] = True
-                    d = rows[u][i] + 1
-                    for w in adj[u]:
-                        if d < rows[w][i]:
-                            rows[w][i] = d
-                            queue.append(w)
+                    d = di[u] + 1
+                    for v in adj[u]:
+                        if d < di[v]:
+                            packed[v] -= (di[v] - d) << shift
+                            di[v] = d
+                            queue.append(v)
                 if i >= lead:
+                    # Leader i came closer to the lowered nodes: raise their
+                    # thresholds to the span column at the new distance.
+                    col = spans[i - lead]
                     for z in queue:
-                        need[z] = thresholds(rows[z])
+                        over = col - di[z] * ones
+                        rise = over & _value_bits(over & guards, w)
+                        if rise:
+                            keep = _value_bits(((need_at[z] | guards) - rise) & guards, w)
+                            need_at[z] = rise ^ ((need_at[z] ^ rise) & keep)
         if len(added) > len(best_added):
             best_added = added
     edges_after = frozenset(g.edges | set(best_added))

@@ -91,6 +91,9 @@ class ExperimentConfig:
         for flag in ("resample_until_connected", "measure_runtime"):
             if not isinstance(data.get(flag, False), bool):
                 raise ValueError(f"{flag} must be true or false, got {data[flag]!r}")
+        output_path = data.get("output_path")
+        if output_path is not None and not isinstance(output_path, str):
+            raise ValueError(f"output_path must be a string or null, got {output_path!r}")
         return cls(
             model=data["model"],
             n=_json_int(data["n"], "n"),
@@ -103,7 +106,7 @@ class ExperimentConfig:
             master_seed=_json_int(data.get("master_seed", 0), "master_seed"),
             resample_until_connected=data.get("resample_until_connected", True),
             measure_runtime=data.get("measure_runtime", False),
-            output_path=data.get("output_path"),
+            output_path=output_path,
         )
 
     def to_json(self) -> dict:

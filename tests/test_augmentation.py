@@ -426,6 +426,62 @@ class TestRandomized:
             augment_randomized(g, (0,), pmi_setup(g, (0,)), repetitions=0)
 
 
+def path_with_chords(n):
+    """Path 0..n-1 plus a chord (i, i + 2) every six nodes from node 1: the
+    end-to-end distance stays at least two thirds of n."""
+    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(1, n - 2, 6)])
+
+
+def caterpillar(n):
+    """Spine 0..s-1 with s = n - n // 3, and leaf s + i hung on spine node 2i + 1."""
+    s = n - n // 3
+    return Graph(n, [(i, i + 1) for i in range(s - 1)] + [(2 * i + 1, s + i) for i in range(n - s)])
+
+
+class TestRandomizedFieldBoundaries:
+    """The scan packs each node's distances into fields of
+    ``(n + 1).bit_length() + 1`` bits, so the widths step between n = 6 and 7,
+    14 and 15, 30 and 31. Paths and caterpillars with an end leader put
+    distances near n - 1 into the narrowest field of each width."""
+
+    @pytest.mark.parametrize("n", [6, 7, 14, 15, 30, 31])
+    @pytest.mark.parametrize("shape", ["path", "caterpillar"])
+    def test_matches_full_bfs_reference(self, n, shape):
+        g = path_with_chords(n) if shape == "path" else caterpillar(n)
+        assert max(bfs_distances(g, 0)) >= 2 * n // 3
+        for leaders in ((0, n - 1), (0, n // 3, n - 1)):
+            seq = pmi_setup(g, leaders)
+            for seed in range(2):
+                res = augment_randomized(g, leaders, seq, seed=seed, repetitions=2)
+                expected = reference_randomized_scan(g, leaders, seq, seed=seed, repetitions=2)
+                assert res.edges_after == expected
+
+    @pytest.mark.parametrize("n", [62, 63])
+    def test_widest_step_on_a_caterpillar(self, n):
+        g = caterpillar(n)
+        leaders = (0, n - 1)
+        seq = pmi_setup(g, leaders)
+        res = augment_randomized(g, leaders, seq, seed=n, repetitions=1)
+        assert res.edges_after == reference_randomized_scan(g, leaders, seq, seed=n, repetitions=1)
+
+    @pytest.mark.parametrize("n", [6, 14, 30])
+    def test_leader_that_is_a_monitored_node(self, n):
+        g = caterpillar(n)
+        leaders = (n // 3, 0, n - 1)
+        seq = pmi_setup(g, leaders)
+        assert set(leaders) & set(seq.nodes())
+        res = augment_randomized(g, leaders, seq, seed=3, repetitions=2)
+        assert res.edges_after == reference_randomized_scan(g, leaders, seq, seed=3, repetitions=2)
+
+    @pytest.mark.parametrize("n", [6, 15])
+    def test_no_monitored_pair_completes(self, n):
+        g = path_with_chords(n)
+        seq = PMISequence((DistanceVector(0, (0,)),), (0,))
+        res = augment_randomized(g, (0,), seq, seed=1, repetitions=2)
+        assert len(res.edges_after) == n * (n - 1) // 2
+        assert res.edges_after == reference_randomized_scan(g, (0,), seq, seed=1, repetitions=2)
+
+
 class TestUpperBound:
     def test_path_nothing_addable(self):
         g = path_graph(3)

@@ -250,6 +250,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "resample_until_connected must be true or false" in err and err.count("\n") == 1
 
+    def test_config_output_path_of_wrong_type_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": [0.5],
+                                   "leader_counts": [2], "output_path": []}))
+        assert cli(["experiment", "-c", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "output_path must be a string or null, got []" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     @pytest.mark.parametrize("payload", [{"node": 0}, [1, 2]], ids=["object", "int-list"])
     def test_pmi_file_of_wrong_shape_is_domain_error(self, star6, tmp_path, capsys, payload):
         pmi_file = tmp_path / "pmi.json"

@@ -91,6 +91,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_json(data)
 
+    @pytest.mark.parametrize("value", [1, 7, True, False, 0.5])
+    def test_json_output_path_must_be_string_or_null(self, value):
+        data = {"model": "erdos-renyi", "n": 8, "parameters": [0.4], "leader_counts": [2]}
+        with pytest.raises(ValueError, match="output_path must be a string or null"):
+            ExperimentConfig.from_json(dict(data, output_path=value))
+        assert ExperimentConfig.from_json(dict(data, output_path=None)).output_path is None
+        assert ExperimentConfig.from_json(dict(data, output_path="r.csv")).output_path == "r.csv"
+
     def test_json_integral_float_count_accepted(self):
         config = ExperimentConfig.from_json(
             {"model": "erdos-renyi", "n": 8.0, "parameters": [0.4], "leader_counts": [2]}
