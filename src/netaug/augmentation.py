@@ -30,7 +30,15 @@ import numpy as np
 
 from .controllability import PMISequence, _check_leaders
 from .errors import SizeGuardError
-from .graphs import Edge, Graph, _checked_distances, _guard_dense, bfs_distances, complement_edges
+from .graphs import (
+    Edge,
+    Graph,
+    _checked_distances,
+    _guard_dense,
+    _missing_pairs,
+    bfs_distances,
+    complement_edges,
+)
 
 __all__ = [
     "AugmentationResult",
@@ -329,13 +337,15 @@ def augment_randomized(
 ) -> AugmentationResult:
     """Densify by a seeded random scan over missing edges, best of ``repetitions``.
 
-    Each repetition shuffles the sorted complement edge list (stream
-    ``default_rng([seed, repetition])``, so enlarging ``repetitions`` never
-    changes earlier repetitions) and accepts an edge iff adding it to the
-    accumulated graph keeps every monitored (leader, node) distance at its
-    original value. The repetition that accepts the most edges wins; ties go
-    to the earliest. The result equals a replay that re-runs BFS from every
-    source after each tentative insertion; three facts make it cheaper:
+    The candidates are the missing node pairs, read row by row from a dense
+    adjacency mask, which lists them in ``sorted(complement_edges(g))`` order.
+    Each repetition shuffles them (stream ``default_rng([seed, repetition])``,
+    so enlarging ``repetitions`` never changes earlier repetitions) and
+    accepts an edge iff adding it to the accumulated graph keeps every
+    monitored (leader, node) distance at its original value. The repetition
+    that accepts the most edges wins; ties go to the earliest. The result
+    equals a replay that re-runs BFS from every source after each tentative
+    insertion; three facts make it cheaper:
 
     - Per monitored node ``v`` and node ``x``, the threshold
       ``need_v(x) = max_l(d(l, v) - d_l(x) - 1)`` over leaders ``l != v``
@@ -374,9 +384,8 @@ def augment_randomized(
     need = np.zeros((g.n, m), dtype=np.intp)
     for k in range(len(sources) - lead):
         np.maximum(need, span[:, k] - at[:, lead + k, None], out=need)
-    comp = sorted(complement_edges(g))
-    lo, hi = np.array(comp, dtype=np.intp).reshape(-1, 2).T
-    base_legal = np.ones(len(comp), dtype=bool)
+    lo, hi = _missing_pairs(g)
+    base_legal = np.ones(lo.size, dtype=bool)
     for j in range(m):
         base_legal &= (at[hi, j] >= need[lo, j]) & (at[lo, j] >= need[hi, j])
 
@@ -403,7 +412,7 @@ def augment_randomized(
 
     best_added: list[Edge] = []
     for rep in range(repetitions):
-        perm = np.random.default_rng([seed, rep]).permutation(len(comp))
+        perm = np.random.default_rng([seed, rep]).permutation(lo.size)
         adj = [set(s) for s in g.adjacency]
         packed, need_at = list(base_p), list(base_n)  # P and N of the docstring
         dist = [list(col) for col in base_cols]

@@ -77,6 +77,20 @@ def _cmd_pmi(args) -> int:
     return 0
 
 
+def _augment_json(result, include_runtime: bool) -> str:
+    """``json.dumps(result.to_json(include_runtime), indent=2)`` and a newline.
+
+    The generic encoder takes tens of milliseconds on an edge list of ~17k
+    pairs; one join renders the list in its layout, spliced into the rest.
+    """
+    data = result.to_json(include_runtime)
+    text = json.dumps({**data, "added_edges": []}, indent=2)
+    if data["added_edges"]:
+        body = ",\n".join(f"    [\n      {u},\n      {v}\n    ]" for u, v in data["added_edges"])
+        text = text.replace('"added_edges": []', f'"added_edges": [\n{body}\n  ]', 1)
+    return text + "\n"
+
+
 def _cmd_augment(args) -> int:
     graph = _read_graph(args.graph)
     if args.pmi is not None:
@@ -89,10 +103,7 @@ def _cmd_augment(args) -> int:
         result = augment_randomized(
             graph, args.leaders, seq, seed=args.seed, repetitions=args.repetitions
         )
-    _write_output(
-        json.dumps(result.to_json(include_runtime=args.time), indent=2) + "\n",
-        args.output,
-    )
+    _write_output(_augment_json(result, args.time), args.output)
     return 0
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, SizeGuardError
-from .graphs import Graph, _checked_distances, _json_int, is_connected, laplacian
+from .graphs import Graph, _checked_distances, _edge_arrays, _json_int, is_connected, laplacian
 
 __all__ = [
     "DistanceVector",
@@ -366,7 +366,7 @@ def validate_ssc_bound(
     if not is_connected(g):
         raise DisconnectedGraphError("rank validation needs a connected graph")
     mat_b = input_matrix(g.n, leaders)
-    u, v = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2).T
+    u, v = _edge_arrays(g)
     ranks: list[int] = []
     failing: np.ndarray | None = None
     for trial in range(trials):
@@ -397,6 +397,6 @@ def kirchhoff_index(g: Graph) -> float:
     """
     if not is_connected(g):
         raise DisconnectedGraphError("Kirchhoff index needs a connected graph")
-    u, v = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
+    u, v = _edge_arrays(g)
     eigenvalues = np.linalg.eigvalsh(laplacian(g.n, u, v, np.ones(u.size)))
     return float(np.sum(1.0 / eigenvalues[1:]))

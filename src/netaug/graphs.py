@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -102,6 +103,14 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges()})"
 
 
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The edges as two int arrays ``u < v``, in ``g.sorted_edges()`` order."""
+    pairs = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
+    u, v = pairs.reshape(-1, 2).T
+    order = np.lexsort((v, u))
+    return u[order], v[order]
+
+
 def bfs_distances(g: Graph, source: int) -> list[int | None]:
     """Hop distances from ``source`` to every node; ``None`` marks unreachable.
 
@@ -154,6 +163,16 @@ def complement_edges(g: Graph) -> set[Edge]:
     return {
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges
     }
+
+
+def _missing_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The node pairs absent from the graph as two int arrays ``u < v``, read
+    row by row from a dense adjacency mask: ``sorted(complement_edges(g))``
+    order. Guarded to ``n <= DENSE_NODE_GUARD`` before the mask is allocated."""
+    _guard_dense(g.n, "the complement mask")
+    present = np.zeros((g.n, g.n), dtype=bool)
+    present[_edge_arrays(g)] = True
+    return np.nonzero(np.triu(~present, 1))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,19 @@ class TestRandomized:
         res = augment_randomized(g, leaders, seq, seed=seed, repetitions=repetitions)
         expected = reference_randomized_scan(g, leaders, seq, seed=seed, repetitions=repetitions)
         assert res.edges_after == expected
+
+    def test_size_guard_fires_before_the_mask(self):
+        g = Graph(DENSE_NODE_GUARD + 1, [(0, 1)])
+        seq = PMISequence((DistanceVector(0, (0,)), DistanceVector(1, (1,))), (0, 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
+                augment_randomized(g, (0,), seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The boolean adjacency mask alone would take n * n bytes.
+        assert peak < g.n * g.n // 8
 
     def test_one_maximal_within_repetition(self):
         g = random_connected_graph(10, 0.25, seed=31)

@@ -4,10 +4,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import netaug
-from netaug import PMISequence, parse_edge_list
-from netaug.cli import cli
+from netaug import PMISequence, augment_intersection, augment_randomized, parse_edge_list, pmi_greedy
+from netaug.cli import _augment_json, cli
+from helpers import complete_graph, random_connected_graph
 
 
 @pytest.fixture
@@ -97,6 +100,33 @@ class TestAugment:
         assert cli(args + ["-o", str(a)]) == 0
         assert cli(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestAugmentJson:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        p=st.sampled_from([0.3, 0.6, 1.0]),
+        seed=st.integers(0, 2**16),
+        randomized=st.booleans(),
+        include_runtime=st.booleans(),
+    )
+    @example(n=1, p=0.3, seed=0, randomized=False, include_runtime=False)
+    @example(n=1, p=0.3, seed=0, randomized=True, include_runtime=True)
+    @example(n=7, p=1.0, seed=0, randomized=False, include_runtime=True)
+    @example(n=7, p=1.0, seed=0, randomized=True, include_runtime=False)
+    def test_equals_generic_encoder(self, n, p, seed, randomized, include_runtime):
+        g = complete_graph(n) if p == 1.0 else random_connected_graph(n, p, seed)
+        leaders = sorted({0, n - 1})
+        pmi = pmi_greedy(g, leaders)
+        if randomized:
+            result = augment_randomized(g, leaders, pmi, seed=seed, repetitions=2)
+        else:
+            result = augment_intersection(g, leaders, pmi)
+        if p == 1.0:
+            assert not result.added
+        expected = json.dumps(result.to_json(include_runtime), indent=2) + "\n"
+        assert _augment_json(result, include_runtime) == expected
 
 
 class TestValidate:

@@ -335,6 +335,15 @@ class TestValidateBound:
         assert [(u, v) for u, v, _ in report.failing_weights] == [(0, 1), (1, 2)]
         assert all(type(w) is int and w >= 1 for _, _, w in report.failing_weights)
 
+    def test_failing_weights_follow_sorted_edges(self):
+        # The weight stream is drawn in sorted-edge order; the report pairs
+        # each weight with its edge in that order.
+        g = random_connected_graph(12, 0.5, seed=3)
+        report = validate_ssc_bound(g, (0,), bound=g.n + 1, trials=1, seed=4)
+        assert [(u, v) for u, v, _ in report.failing_weights] == sorted(g.edges)
+        weights = np.random.default_rng([4, 0]).integers(1, _PRIME, size=g.num_edges())
+        assert [w for _, _, w in report.failing_weights] == weights.tolist()
+
 
 @st.composite
 def weighted_instances(draw, min_n=1, max_n=7, max_leaders=None):

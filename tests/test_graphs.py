@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netaug import (
@@ -16,7 +16,7 @@ from netaug import (
     parse_edge_list,
     write_edge_list,
 )
-from netaug.graphs import DENSE_NODE_GUARD
+from netaug.graphs import DENSE_NODE_GUARD, _edge_arrays, _missing_pairs
 from helpers import all_pairs_min_plus, path_graph, complete_graph
 
 
@@ -97,6 +97,32 @@ class TestComplement:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
             complement_edges(Graph(DENSE_NODE_GUARD + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), st.integers(0, 2**32 - 1))
+    @example(n=1, p=0.0, seed=0)
+    @example(n=9, p=1.0, seed=0)
+    def test_missing_pairs_are_the_sorted_complement(self, n, p, seed):
+        # The randomized scan shuffles these arrays, so their order is part of
+        # the seeded output.
+        g = erdos_renyi(GenSpec(model="erdos-renyi", n=n, p=p, seed=seed))
+        lo, hi = _missing_pairs(g)
+        assert list(zip(lo.tolist(), hi.tolist())) == sorted(complement_edges(g))
+
+    def test_missing_pairs_size_guard(self):
+        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
+            _missing_pairs(Graph(DENSE_NODE_GUARD + 1))
+
+
+class TestEdgeArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), st.integers(0, 2**32 - 1))
+    @example(n=1, p=0.0, seed=0)
+    @example(n=9, p=1.0, seed=0)
+    def test_equal_sorted_edges(self, n, p, seed):
+        g = erdos_renyi(GenSpec(model="erdos-renyi", n=n, p=p, seed=seed))
+        u, v = _edge_arrays(g)
+        assert list(zip(u.tolist(), v.tolist())) == g.sorted_edges()
 
 
 class TestErdosRenyi:
