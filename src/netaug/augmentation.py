@@ -8,7 +8,8 @@ chain solutions, so an edge survives iff its endpoints are at most one level
 apart for every monitored pair; the other scans a shuffled complement edge
 list and keeps every edge whose addition preserves all monitored distances,
 repeated best-of-c. Both therefore keep the PMI sequence (and the
-controllability bound it certifies) valid on the augmented graph.
+controllability bound it certifies) valid on the augmented graph, and
+neither adds more than ``T``, the missing edges legal alone on the input graph.
 
 Everything here reads one input: BFS distance int arrays from the pair's
 ends, or from each leader and PMI node, checked once as they are computed
@@ -62,7 +63,8 @@ BRUTE_FORCE_GUARD = 8
 class AugmentationResult:
     """Edge set produced by an augmentation run, plus audit fields.
 
-    ``upper_bound_addable`` bounds ``len(added)`` from above;
+    ``upper_bound_addable`` is ``T``, the missing edges legal alone on the
+    input graph (``addable_edge_upper_bound``), so ``len(added) <= T``;
     ``seed``/``repetitions`` are ``None`` for deterministic algorithms.
     """
 
@@ -167,21 +169,31 @@ def build_clique_chain(levels: Sequence[Sequence[int]]) -> frozenset[Edge]:
     return _edges(_chain_mask(np.repeat(np.arange(len(sizes)), sizes)), nodes)
 
 
-def _upper_bound(g: Graph, dist: dict[int, np.ndarray], pairs: list[tuple[int, int]]) -> int:
-    """Missing edges that no monitored pair rules out.
+def _legal_alone(g: Graph, pairs: list[tuple[int, int]], dist: dict[int, np.ndarray]):
+    """Mask of the missing pairs ``lo < hi`` (``sorted(complement_edges(g))``
+    order) that keep every monitored distance when added alone; its sum is ``T``.
 
-    A node pair is ruled out when both nodes lie on a common geodesic of a
-    monitored pair at depths two or more apart (a geodesic node's level is its
-    depth): adding it would create a shortcut on that geodesic. Such a pair
-    is never already an edge (the edge would be that shortcut), so the
-    complement is never enumerated.
+    Edge ``(x, y)`` is legal iff ``d_v(y) >= need_v(x)`` and ``d_v(x) >= need_v(y)``
+    for every monitored ``v``, with ``need_v(x) = max_l(d(l, v) - d_l(x) - 1)``
+    over leaders ``l != v``. Also returns the scan's tables over sources ordered
+    monitored non-leaders, monitored leaders, other leaders: ``at[z, i] =
+    d(source_i, z)``, ``span[j, k] = d(l_k, v_j) - 1`` and ``need`` clamped at 0.
     """
-    forbidden = np.zeros((g.n, g.n), dtype=bool)
-    for a, b in pairs:
-        on = np.flatnonzero(dist[a] + dist[b] == dist[a][b])
-        depth = dist[a][on]
-        forbidden[np.ix_(on, on)] |= np.abs(depth[:, None] - depth[None, :]) >= 2
-    return g.n * (g.n - 1) // 2 - g.num_edges() - int(np.count_nonzero(forbidden)) // 2
+    led = {ell for ell, _ in pairs}
+    watched = {v for _, v in pairs}
+    sources = sorted(watched - led) + sorted(watched & led) + sorted(led - watched)
+    lead, m = len(watched - led), len(watched)
+    # The reshape keeps n rows when nothing is monitored.
+    at = np.array([dist[s] for s in sources], dtype=np.intp).reshape(len(sources), g.n).T
+    span = at[sources[:m], lead:] - 1  # -1 where leader k is monitored node j
+    need = np.zeros((g.n, m), dtype=np.intp)  # one leader at a time: O(n * m)
+    for k in range(len(sources) - lead):
+        np.maximum(need, span[:, k] - at[:, lead + k, None], out=need)
+    lo, hi = _missing_pairs(g)
+    legal = np.ones(lo.size, dtype=bool)
+    for j in range(m):
+        legal &= (at[hi, j] >= need[lo, j]) & (at[lo, j] >= need[hi, j])
+    return legal, lo, hi, at, span, need
 
 
 def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
@@ -199,7 +211,7 @@ def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
         edges_before=g.edges,
         edges_after=edges_after,
         added=frozenset(edges_after - g.edges),
-        upper_bound_addable=_upper_bound(g, {a: dist_a, b: dist_b}, [(a, b)]),
+        upper_bound_addable=int(_legal_alone(g, [(a, b)], {a: dist_a, b: dist_b})[0].sum()),
         runtime_ms=(time.perf_counter() - start) * 1000.0,
     )
 
@@ -286,14 +298,15 @@ def _instance(
 
 
 def addable_edge_upper_bound(g: Graph, leaders: Sequence[int], pmi: PMISequence) -> int:
-    """Upper bound on how many complement edges any distance-preserving run can add.
+    """``T``: the missing edges that keep every monitored (leader, PMI node)
+    distance when added alone.
 
-    A missing edge is unusable when both endpoints lie on a common shortest
-    path from a leader to a monitored node at depths two or more apart:
-    adding it would create a shortcut on that path.
+    An edge illegal alone stays illegal on every supergraph, since distances
+    only fall, so no distance-preserving augmentation adds more than ``T``
+    edges. It is the ``total_legal`` of ``success_probability_bound``.
     """
     pairs, dist = _instance(g, leaders, pmi)
-    return _upper_bound(g, dist, pairs)
+    return int(_legal_alone(g, pairs, dist)[0].sum())
 
 
 def augment_intersection(
@@ -317,7 +330,7 @@ def augment_intersection(
         edges_before=g.edges,
         edges_after=edges_after,
         added=edges_after - g.edges,
-        upper_bound_addable=_upper_bound(g, dist, pairs),
+        upper_bound_addable=int(_legal_alone(g, pairs, dist)[0].sum()),
         pmi_length=len(pmi),
         runtime_ms=(time.perf_counter() - start) * 1000.0,
     )
@@ -345,20 +358,17 @@ def augment_randomized(
     monitored (leader, node) distance at its original value. The repetition
     that accepts the most edges wins; ties go to the earliest. The result
     equals a replay that re-runs BFS from every source after each tentative
-    insertion; three facts make it cheaper:
+    insertion; two facts make it cheaper:
 
-    - Per monitored node ``v`` and node ``x``, the threshold
-      ``need_v(x) = max_l(d(l, v) - d_l(x) - 1)`` over leaders ``l != v``
-      makes edge ``(x, y)`` legal iff ``d_v(y) >= need_v(x)`` and
-      ``d_v(x) >= need_v(y)`` for every monitored ``v``.
-    - Distances only fall as edges are added, so an edge illegal on the input
-      graph stays illegal. Every edge is tested once on the input graph and
-      the illegal ones are dropped from each shuffled order.
+    - Distances only fall as edges are added, so an edge illegal alone on the
+      input graph stays illegal: ``_legal_alone`` drops those from each
+      shuffled order, and the rest are ``upper_bound_addable``.
     - Each node ``x`` packs its source distances into one int ``P[x]``, one
       ``w``-bit field per source with the field's top (guard) bit set, and
-      its thresholds, clamped at 0, into a second int ``N[x]``. One
-      subtraction then tests all monitored nodes at once: ``(x, y)`` is
-      legal iff every guard bit survives ``P[y] - N[x]`` and ``P[x] - N[y]``.
+      its thresholds ``need_v(x)`` (see ``_legal_alone``), clamped at 0, into
+      a second int ``N[x]``. One subtraction then tests all monitored nodes at
+      once: ``(x, y)`` is legal iff every guard bit survives ``P[y] - N[x]``
+      and ``P[x] - N[y]``.
       After an insertion, the guard bits that survive ``P[x] - P[y] - 2`` or
       ``P[y] - P[x] - 2`` name the sources whose endpoint distances differ
       by two or more; only those are relaxed by BFS. When leader ``l``'s
@@ -370,24 +380,8 @@ def augment_randomized(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     start = time.perf_counter()
     pairs, base_dist = _instance(g, leaders, pmi)
-    # Source order: monitored non-leaders, monitored leaders, other leaders;
-    # the first ``m`` sources are monitored and ``sources[lead:]`` are leaders.
-    led = {ell for ell, _ in pairs}
-    watched = {v for _, v in pairs}
-    sources = sorted(watched - led) + sorted(watched & led) + sorted(led - watched)
-    lead, m = len(watched - led), len(watched)
-    # at[z, i] = d(sources[i], z); the reshape keeps n rows when nothing is monitored.
-    at = np.array([base_dist[s] for s in sources], dtype=np.intp).reshape(len(sources), g.n).T
-    # span[j, k] = d(l_k, v_j) - 1, which is -1 when leader k is monitored node j.
-    span = at[sources[:m], lead:] - 1
-    # need[z, j] = max(need_{v_j}(z), 0), one leader at a time to stay O(n * m).
-    need = np.zeros((g.n, m), dtype=np.intp)
-    for k in range(len(sources) - lead):
-        np.maximum(need, span[:, k] - at[:, lead + k, None], out=need)
-    lo, hi = _missing_pairs(g)
-    base_legal = np.ones(lo.size, dtype=bool)
-    for j in range(m):
-        base_legal &= (at[hi, j] >= need[lo, j]) & (at[lo, j] >= need[hi, j])
+    base_legal, lo, hi, at, span, need = _legal_alone(g, pairs, base_dist)
+    m, lead = need.shape[1], at.shape[1] - span.shape[1]
 
     # Field i of a packed int spans bits [i*w, i*w + w): a value below
     # ``guard`` plus, for distances, the guard bit itself. Subtracting values
@@ -395,7 +389,7 @@ def augment_randomized(
     # field's guard bit survives iff its difference is non-negative.
     w = (g.n + 1).bit_length() + 1
     guard = 1 << (w - 1)
-    shifts = [i * w for i in range(len(sources))]
+    shifts = [i * w for i in range(at.shape[1])]
     guards = sum(guard << s for s in shifts)
     lift = guards - sum(2 << s for s in shifts)
     ones = sum(1 << s for s in shifts[:m])
@@ -462,7 +456,7 @@ def augment_randomized(
         edges_before=g.edges,
         edges_after=edges_after,
         added=frozenset(best_added),
-        upper_bound_addable=_upper_bound(g, base_dist, pairs),
+        upper_bound_addable=int(base_legal.sum()),
         pmi_length=len(pmi),
         seed=seed,
         repetitions=repetitions,
@@ -476,7 +470,8 @@ def success_probability_bound(
     """Probability that best-of-c random scans reach ``ratio`` times the optimum.
 
     Evaluates ``1 - exp(-c * (tau/T)^ceil(ratio*tau))`` with ``T`` individually
-    legal edges and an optimal solution of size ``tau``. The exponent is
+    legal edges (an augmenter's ``upper_bound_addable``) and an optimal
+    solution of size ``tau``. The exponent is
     rounded up to an integer, which can only lower the bound (conservative).
     Nondecreasing in ``repetitions``.
     """

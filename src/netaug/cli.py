@@ -16,7 +16,8 @@ import sys
 from .augmentation import augment_intersection, augment_randomized
 from .controllability import PMISequence, pmi_exact, pmi_greedy, validate_ssc_bound
 from .experiments import ExperimentConfig, aggregates_to_csv, records_to_csv, run_experiment
-from .graphs import GenSpec, generate, parse_edge_list, write_edge_list
+from .errors import DisconnectedGraphError
+from .graphs import GenSpec, Graph, _edge_lines, _guard_dense, generate, write_edge_list
 
 _MODEL_ALIASES = {
     "er": "erdos-renyi",
@@ -34,9 +35,17 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _read_graph(path: str):
+def _read_graph(path: str, guard: str | None = None) -> Graph:
+    """The graph in ``path``, connected as every command needs: a header counting
+    more nodes than its edge lines can connect is refused before any per-node
+    allocation, after the size guard named by ``guard`` if the caller has one."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+        n, edges = _edge_lines(handle.read())
+    if guard is not None:
+        _guard_dense(n, guard)
+    if n > len(edges) + 1:
+        raise DisconnectedGraphError(f"{path}: {len(edges)} edge lines cannot connect n={n}")
+    return Graph(n, edges)
 
 
 def _read_json(path: str, loader):
@@ -92,7 +101,7 @@ def _augment_json(result, include_runtime: bool) -> str:
 
 
 def _cmd_augment(args) -> int:
-    graph = _read_graph(args.graph)
+    graph = _read_graph(args.graph, guard="edge augmentation")
     if args.pmi is not None:
         seq = _read_json(args.pmi, PMISequence.from_json)
     else:

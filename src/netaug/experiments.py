@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -110,18 +110,8 @@ class ExperimentConfig:
         )
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "parameters": list(self.parameters),
-            "leader_counts": list(self.leader_counts),
-            "instances": self.instances,
-            "repetitions": self.repetitions,
-            "master_seed": self.master_seed,
-            "resample_until_connected": self.resample_until_connected,
-            "measure_runtime": self.measure_runtime,
-            "output_path": self.output_path,
-        }
+        lists = {"parameters": list(self.parameters), "leader_counts": list(self.leader_counts)}
+        return {**asdict(self), **lists}
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,12 @@ def parse_edge_list(text: str) -> Graph:
     out-of-range ids and malformed tokens raise ``EdgeListParseError`` with
     the 1-based line number.
     """
+    return Graph(*_edge_lines(text))
+
+
+def _edge_lines(text: str) -> tuple[int, list[Edge]]:
+    """The header's node count and the edge pairs, with the checks that
+    ``parse_edge_list`` documents; nothing is allocated per node."""
     lines = text.splitlines()
     if not lines:
         raise EdgeListParseError(1, "empty input, expected header 'n <count>'")
@@ -338,7 +344,7 @@ def parse_edge_list(text: str) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(i, f"node id out of range for n={n}: {line!r}")
         edges.append((u, v))
-    return Graph(n, edges)
+    return n, edges
 
 
 def write_edge_list(g: Graph) -> str:

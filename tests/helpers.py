@@ -48,23 +48,15 @@ def all_pairs_min_plus(g: Graph) -> np.ndarray:
     return dist
 
 
-def addable_edge_bound_oracle(g: Graph, pairs) -> int:
-    """Missing edges that no (a, b) in ``pairs`` rules out, by scanning every
-    node pair against (min, +) distances: a pair is ruled out when both
-    nodes sit on an a-b geodesic at depths two or more apart."""
-    dist = all_pairs_min_plus(g)
-    addable = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if dist[u, v] == 1:
-                continue
-            addable += not any(
-                dist[a, u] + dist[u, b] == dist[a, b]
-                and dist[a, v] + dist[v, b] == dist[a, b]
-                and abs(dist[a, u] - dist[a, v]) >= 2
-                for a, b in pairs
-            )
-    return addable
+def legal_alone_oracle(g: Graph, pairs) -> int:
+    """Missing edges that keep every (a, b) distance in ``pairs`` when added
+    alone, by adding each one and recomputing all (min, +) distances."""
+    before = all_pairs_min_plus(g)
+    legal = 0
+    for edge in sorted(complement_edges(g)):
+        after = all_pairs_min_plus(g.add_edges([edge]))
+        legal += all(after[a, b] == before[a, b] for a, b in pairs)
+    return legal
 
 
 def intersection_oracle(g: Graph, pairs) -> frozenset:

@@ -30,12 +30,12 @@ from netaug import (
 )
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
-    addable_edge_bound_oracle,
     all_pairs_min_plus,
     complete_graph,
     cycle_graph,
     full_subset_pair_optimum,
     intersection_oracle,
+    legal_alone_oracle,
     path_graph,
     random_connected_graph,
     reference_randomized_scan,
@@ -318,7 +318,7 @@ class TestIntersection:
         pairs = [(ell, v) for ell in leaders for v in seq.nodes() if ell != v]
         res = augment_intersection(g, leaders, seq)
         assert res.edges_after == intersection_oracle(g, pairs)
-        assert addable_edge_upper_bound(g, leaders, seq) == addable_edge_bound_oracle(g, pairs)
+        assert addable_edge_upper_bound(g, leaders, seq) == legal_alone_oracle(g, pairs)
         before = all_pairs_min_plus(g)
         rand = augment_randomized(g, leaders, seq, seed=len(pairs), repetitions=2)
         for h in (Graph(g.n, res.edges_after), Graph(g.n, rand.edges_after)):
@@ -509,6 +509,20 @@ class TestUpperBound:
         g = complete_graph(4)
         assert addable_edge_upper_bound(g, (0,), pmi_setup(g, (0,))) == 0
 
+    def test_counts_shortcuts_off_the_geodesics(self):
+        # Path 0-1-2-3 with a pendant edge 0-4: (3, 4) joins no two nodes of a
+        # monitored geodesic, yet added alone it shortens d(0, 3) to 2.
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+        seq = pmi_setup(g, (0,))
+        assert seq.nodes() == (0, 1, 2, 3)
+        assert addable_edge_upper_bound(g, (0,), seq) == 2
+        for res in (
+            augment_intersection(g, (0,), seq),
+            augment_randomized(g, (0,), seq, seed=3, repetitions=2),
+        ):
+            assert res.upper_bound_addable == 2
+            assert res.added == {(1, 4), (2, 4)}
+
     def test_sandwiches_both_algorithms(self):
         for seed in range(6):
             g = random_connected_graph(12, 0.3, seed=seed + 900)
@@ -527,12 +541,10 @@ class TestUpperBound:
             seq = pmi_setup(g, leaders)
             pairs = [(ell, v) for ell in leaders for v in seq.nodes() if ell != v]
             bound = addable_edge_upper_bound(g, leaders, seq)
-            assert bound == addable_edge_bound_oracle(g, pairs)
+            assert bound == legal_alone_oracle(g, pairs)
             dist = bfs_distances(g, 0)
             b = max(range(g.n), key=lambda v: dist[v])
-            assert augment_pair(g, 0, b).upper_bound_addable == addable_edge_bound_oracle(
-                g, [(0, b)]
-            )
+            assert augment_pair(g, 0, b).upper_bound_addable == legal_alone_oracle(g, [(0, b)])
 
     def test_disconnected_input_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])

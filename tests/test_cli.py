@@ -297,6 +297,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pmi_file}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["pmi", "augment", "validate"])
+    def test_header_above_edge_lines_is_domain_error(self, tmp_path, command):
+        # Ten to the eleven adjacency sets would exhaust the memory; a 2 GB
+        # address-space cap makes an unchecked header fail fast instead.
+        path = tmp_path / "huge.txt"
+        path.write_text("n 99999999999\n0 1\n")
+        cap = 2 << 30
+        run_capped = (
+            "import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from netaug.cli import main\n"
+            "main()\n"
+        )
+        src = os.path.dirname(os.path.dirname(netaug.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", run_capped, command, "-g", str(path), "--leaders", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     def test_module_entry_point_runs_main(self):
         src = os.path.dirname(os.path.dirname(netaug.__file__))
         env = dict(os.environ, PYTHONPATH=src)
