@@ -250,56 +250,75 @@ def input_matrix(n: int, leaders: Sequence[int]) -> np.ndarray:
     return mat
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
-    """``a @ b`` mod ``prime``; 16-bit halves of ``a`` keep int64 sums exact for inner dim < 2**16.
-    Every call has the smaller matrix on the left, so splitting it is the cheap side."""
-    high = ((a >> 16) @ b) % prime
-    return ((high << 16) + ((a & 0xFFFF) @ b) % prime) % prime
+def _limbs(b: np.ndarray) -> np.ndarray:
+    """``[b_hi | b_lo]``: the 16-bit limbs of the residues ``b`` side by side, as float64.
+    The shifts write into the float64 result directly: one allocation per split."""
+    k = b.shape[1]
+    limbs = np.empty((len(b), 2 * k))
+    np.right_shift(b, 16, out=limbs[:, :k], casting="unsafe")
+    np.bitwise_and(b, 0xFFFF, out=limbs[:, k:], casting="unsafe")
+    return limbs
+
+
+def _mulmod(a: np.ndarray, b_limbs: np.ndarray, prime: int) -> np.ndarray:
+    """``a @ b`` mod ``prime`` for int64 residues ``a`` and ``b_limbs = _limbs(b)``.
+
+    One float64 product ``[a_hi; a_lo] @ [b_hi | b_lo]`` gives the four limb products
+    at once. It is exact: each term is a product of two limbs below 2**16, so every
+    partial sum over an inner dimension k is an integer below k * 2**32 < 2**53, in any
+    summation order. Recombining ``(high * 2**16 + mid) * 2**16 + low`` stays below
+    2**63 in int64 for k <= 2**16; ``DENSE_NODE_GUARD`` is 2**12."""
+    m, k = len(a), b_limbs.shape[1] // 2
+    prod = (np.vstack([a >> 16, a & 0xFFFF]).astype(np.float64) @ b_limbs).astype(np.int64)
+    high, mid, low = prod[:m, :k], prod[:m, k:] + prod[m:, :k], prod[m:, k:]
+    return ((((high << 16) + mid) % prime << 16) + low) % prime
 
 
 def _residues(matrix: np.ndarray, prime: int) -> np.ndarray:
     arr = np.asarray(matrix)
     if arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.round(arr))):
         arr = np.fmod(arr, prime)
-    elif arr.dtype.kind not in "biu":
+    elif arr.dtype.kind == "u":
+        arr = arr % np.uint64(prime)  # before the int64 cast, which wraps entries >= 2**63
+    elif arr.dtype.kind not in "bi":
         raise ValueError("controllability_rank needs integer-valued matrices")
     return arr.astype(np.int64) % prime
 
 
-def _rank_mod(
-    laplacian: np.ndarray, inputs: np.ndarray, prime: int, target: int | None = None
-) -> int:
-    """Krylov dimension of ``inputs`` under ``-laplacian`` mod ``prime``, one block at a
-    time: reduce the block against the RREF basis, eliminate within it, step its new rows.
+def _rank_mod(step: np.ndarray, inputs: np.ndarray, prime: int, target: int | None = None) -> int:
+    """Dimension of the Krylov space of the rows of ``inputs`` under ``step`` mod ``prime``.
+
+    ``step`` is ``(-L)^T`` and ``inputs`` is ``B^T``, both int64 residues, so the rows
+    of ``inputs @ step**j`` are the columns of ``(-L)^j B``. One block at a time: reduce
+    it against the RREF basis (one product), eliminate within it (one rank-1 update of
+    the block per pivot), fold its new rows into the basis and step them (one product
+    each). ``step`` is split into limbs once, for all its products.
 
     With a ``target``, stops after the first block that brings the proved rank to at
     least ``target`` and returns that rank (it may overshoot by less than a block)."""
-    lap, mat_b = _residues(laplacian, prime), _residues(inputs, prime)
-    n = lap.shape[0] if lap.ndim == 2 else -1
-    if lap.shape != (n, n) or mat_b.ndim != 2 or mat_b.shape[0] != n:
-        raise ValueError(f"dimension mismatch: laplacian {lap.shape}, inputs {mat_b.shape}")
-    step, block = -lap.T % prime, mat_b.T
-    basis, pivots = np.zeros((0, n), dtype=np.int64), []
+    step_limbs, block = _limbs(step), inputs
+    basis, pivots = np.zeros((0, len(step)), dtype=np.int64), []
     while True:
-        block = (block - _mulmod(block[:, pivots], basis, prime)) % prime
-        rows, new_pivots = [], []
-        for row in block:
-            for col, done in zip(new_pivots, rows):
-                row = (row - row[col] * done) % prime
-            nonzero = np.flatnonzero(row)
+        block = (block - _mulmod(block[:, pivots], _limbs(basis), prime)) % prime
+        rows, cols = [], []
+        for i, row in enumerate(block):
+            nonzero = row.nonzero()[0]
             if nonzero.size:
                 col = int(nonzero[0])
-                row = row * pow(int(row[col]), prime - 2, prime) % prime
-                rows = [(done - done[col] * row) % prime for done in rows] + [row]
-                new_pivots.append(col)
+                row = row * pow(int(row[col]), -1, prime) % prime
+                block -= block[:, col, None] * row
+                block[i] = row  # the update zeroed it
+                block %= prime
+                rows.append(i)
+                cols.append(col)
         if not rows:
             return len(pivots)
         if target is not None and len(pivots) + len(rows) >= target:
             return len(pivots) + len(rows)
-        block = np.array(rows)
-        basis = np.vstack([(basis - _mulmod(basis[:, new_pivots], block, prime)) % prime, block])
-        pivots += new_pivots
-        block = _mulmod(block, step, prime)
+        block = block[rows]
+        basis = np.vstack([(basis - _mulmod(basis[:, cols], _limbs(block), prime)) % prime, block])
+        pivots += cols
+        block = _mulmod(block, step_limbs, prime)
 
 
 def controllability_rank(laplacian: np.ndarray, inputs: np.ndarray) -> int:
@@ -308,7 +327,11 @@ def controllability_rank(laplacian: np.ndarray, inputs: np.ndarray) -> int:
     Takes integer-valued matrices (``ValueError`` otherwise). The rank mod p never
     exceeds the rational rank, so the result is a proved lower bound on it. This is
     always the full Krylov rank; only ``validate_ssc_bound`` stops at its bound."""
-    return _rank_mod(laplacian, inputs, _PRIME)
+    lap, mat_b = _residues(laplacian, _PRIME), _residues(inputs, _PRIME)
+    n = lap.shape[0] if lap.ndim == 2 else -1
+    if lap.shape != (n, n) or mat_b.ndim != 2 or mat_b.shape[0] != n:
+        raise ValueError(f"dimension mismatch: laplacian {lap.shape}, inputs {mat_b.shape}")
+    return _rank_mod(-lap.T % _PRIME, mat_b.T, _PRIME)
 
 
 @dataclass(frozen=True)
@@ -356,6 +379,10 @@ def validate_ssc_bound(
     are therefore the ranks proved at the stop (see ``RankValidationReport``); use
     ``controllability_rank`` for the full rank. The bound holds for *all* positive
     weights, so a failure indicates an implementation bug.
+    Each trial builds its step ``(-L)^T`` once, from ``laplacian``: L is symmetric,
+    so that is one negation, and the weights are already residues for both primes,
+    so only the diagonal is reduced per prime. ``_rank_mod`` splits it into limbs
+    once and runs every product of the trial on BLAS (see ``_mulmod``).
     The graph must be connected, with at most ``DENSE_NODE_GUARD`` nodes.
     """
     leaders = _check_leaders(g, leaders)
@@ -365,16 +392,21 @@ def validate_ssc_bound(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not is_connected(g):
         raise DisconnectedGraphError("rank validation needs a connected graph")
-    mat_b = input_matrix(g.n, leaders)
+    inputs = input_matrix(g.n, leaders).T.astype(np.int64)
     u, v = _edge_arrays(g)
     ranks: list[int] = []
     failing: np.ndarray | None = None
     for trial in range(trials):
         weights = np.random.default_rng([seed, trial]).integers(1, _PRIME, size=u.size)
-        lap = laplacian(g.n, u, v, weights)
-        rank = _rank_mod(lap, mat_b, _PRIME, target=bound)
-        if rank < bound:  # both ranks are proved lower bounds; 2**31 - 1 is prime
-            rank = max(rank, _rank_mod(lap, mat_b, 2**31 - 1, target=bound))
+        step = laplacian(g.n, u, v, weights)
+        np.negative(step, out=step)  # (-L)^T, as L is symmetric; off-diagonals are weights < p
+        diagonal = step.diagonal().copy()
+        rank = 0
+        for prime in (_PRIME, 2**31 - 1):  # both ranks are proved lower bounds; 2**31 - 1 is prime
+            np.fill_diagonal(step, diagonal % prime)
+            rank = max(rank, _rank_mod(step, inputs, prime, target=bound))
+            if rank >= bound:
+                break
         if rank < bound and failing is None:
             failing = weights
         ranks.append(rank)

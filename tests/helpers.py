@@ -206,9 +206,10 @@ def effective_resistance_total(g: Graph) -> float:
     return total
 
 
-def krylov_rank_oracle(laplacian, inputs) -> int:
-    """Rational rank of ``[B, -LB, ..., (-L)^(n-1) B]`` for integer matrices:
-    Python-int matrix powers, then Gaussian elimination over ``Fraction``."""
+def krylov_rank_oracle(laplacian, inputs, prime: int | None = None) -> int:
+    """Rank of ``[B, -LB, ..., (-L)^(n-1) B]`` for integer matrices: Python-int matrix
+    powers, then Gaussian elimination over ``Fraction`` (the rational rank), or over
+    the integers mod ``prime`` when one is given."""
     lap = [[int(x) for x in row] for row in np.asarray(laplacian).tolist()]
     n = len(lap)
     cols = [[int(x) for x in col] for col in np.asarray(inputs).T.tolist()]
@@ -216,7 +217,11 @@ def krylov_rank_oracle(laplacian, inputs) -> int:
     for _ in range(n - 1):
         cols = [[-sum(lap[i][k] * col[k] for k in range(n)) for i in range(n)] for col in cols]
         gamma += cols
-    rows = [[Fraction(x) for x in col] for col in gamma]  # rank of the transpose
+    if prime is None:
+        field, inverse = Fraction, lambda x: 1 / x
+    else:
+        field, inverse = (lambda x: x % prime), (lambda x: pow(x, -1, prime))
+    rows = [[field(x) for x in col] for col in gamma]  # rank of the transpose
     rank = 0
     for c in range(n):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
@@ -224,8 +229,8 @@ def krylov_rank_oracle(laplacian, inputs) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         for r in range(rank + 1, len(rows)):
-            factor = rows[r][c] / rows[rank][c]
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+            factor = rows[r][c] * inverse(rows[rank][c])
+            rows[r] = [field(x - factor * y) for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 

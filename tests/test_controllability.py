@@ -1,3 +1,5 @@
+from operator import mul
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from netaug import (
     pmi_greedy,
     validate_ssc_bound,
 )
-from netaug.controllability import _PRIME, _rank_mod
+from netaug.controllability import _PRIME, _limbs, _mulmod, _rank_mod, _residues
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     brute_pmi_length,
@@ -266,6 +268,14 @@ class TestControllabilityRank:
         lap = s @ m @ s_inv
         assert controllability_rank(lap, inputs) == krylov_rank_oracle(lap, inputs) == k
 
+    def test_unsigned_entries_above_int64_reduce_exactly(self):
+        # 2**64 - p is not 0 mod p, but cast to int64 first it wraps to -p, which is.
+        x = 2**64 - _PRIME
+        lap = np.array([[0, x], [x, 0]], dtype=np.uint64)
+        inputs = np.array([[1], [0]], dtype=np.uint64)
+        assert controllability_rank(lap, inputs) == krylov_rank_oracle(lap, inputs) == 2
+        assert _residues(np.array([[2**63 + 5]], dtype=np.uint64), _PRIME).tolist() == [[727]]
+
     def test_non_integral_entry_rejected(self):
         lap = graph_laplacian(path_graph(2), np.array([0.5]))
         with pytest.raises(ValueError, match="integer-valued"):
@@ -279,13 +289,33 @@ class TestControllabilityRank:
         weights = np.random.default_rng(8).integers(1, _PRIME, size=g.num_edges())
         lap, inputs = graph_laplacian(g, weights), input_matrix(g.n, leaders)
         full = controllability_rank(lap, inputs)
-        assert _rank_mod(lap, inputs, _PRIME, target=None) == full
+        step, block = -lap.T % _PRIME, inputs.T.astype(np.int64)
+        assert _rank_mod(step, block, _PRIME, target=None) == full
         for target in range(1, full + 3):
-            rank = _rank_mod(lap, inputs, _PRIME, target=target)
+            rank = _rank_mod(step, block, _PRIME, target=target)
             if target >= full:
                 assert rank == full
             else:
                 assert target <= rank < target + len(leaders)
+
+
+class TestLimbProduct:
+    @pytest.mark.parametrize("prime", [_PRIME, 2**31 - 1])
+    @pytest.mark.parametrize("inner", [1, 4096])
+    @pytest.mark.parametrize("fill", ["p - 1", "random"])
+    def test_products_are_exact(self, prime, inner, fill):
+        # All p - 1 gives the largest partial sums; random entries tell the four limb
+        # products apart, which equal operands cannot.
+        if fill == "random":
+            rng = np.random.default_rng(inner)
+            a, b = rng.integers(0, prime, size=(2, inner)), rng.integers(0, prime, size=(inner, 3))
+        else:
+            a = np.full((2, inner), prime - 1, dtype=np.int64)
+            b = np.full((inner, 3), prime - 1, dtype=np.int64)
+        exact = [[sum(map(mul, row, col)) % prime for col in zip(*b.tolist())] for row in a.tolist()]
+        assert _mulmod(a, _limbs(b), prime).tolist() == exact
+        # One unsplit float64 product rounds: (p - 1)**2 alone needs 62 bits.
+        assert np.fmod(a.astype(np.float64) @ b.astype(np.float64), prime).tolist() != exact
 
 
 class TestValidateBound:
@@ -346,28 +376,40 @@ class TestValidateBound:
 
 
 @st.composite
-def weighted_instances(draw, min_n=1, max_n=7, max_leaders=None):
+def weighted_instances(draw, min_n=1, max_n=7, max_leaders=None, max_weight=50):
     """A connected graph on at most ``max_n`` nodes (random tree plus extra edges),
-    int64 weights 1-50 (one per sorted edge) and a random ordered leader set."""
+    int64 weights 1..``max_weight`` (one per sorted edge) and a random ordered leader set."""
     n = draw(st.integers(min_n, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     g = Graph(n, edges | extra)
-    weights = np.array([draw(st.integers(1, 50)) for _ in g.sorted_edges()], dtype=np.int64)
+    weights = np.array([draw(st.integers(1, max_weight)) for _ in g.sorted_edges()], dtype=np.int64)
     order = draw(st.permutations(range(n)))
     leaders = tuple(order[: draw(st.integers(1, min(n, max_leaders or n)))])
     return g, weights, leaders
 
 
 class TestRankProperties:
-    @settings(max_examples=80, deadline=None)
-    @given(weighted_instances())
+    @settings(max_examples=160, deadline=None)
+    @given(st.sampled_from((50, _PRIME - 1)).flatmap(lambda top: weighted_instances(max_weight=top)))
     def test_rank_equals_rational_oracle(self, instance):
+        # Weights up to p - 1 fill the high limbs of every product. Mod p the rank must
+        # equal the oracle's. The rational rank may exceed it (see the next test); with
+        # weights up to 50 the two agree.
         g, weights, leaders = instance
         lap = graph_laplacian(g, weights)
         inputs = input_matrix(g.n, leaders)
-        assert controllability_rank(lap, inputs) == krylov_rank_oracle(lap, inputs)
+        rank, rational = controllability_rank(lap, inputs), krylov_rank_oracle(lap, inputs)
+        assert rank == krylov_rank_oracle(lap, inputs, prime=_PRIME)
+        assert rank == rational if weights.max(initial=0) <= 50 else rank <= rational
+
+    def test_modular_rank_can_fall_below_the_rational_rank(self):
+        g = complete_graph(3)
+        lap = graph_laplacian(g, np.array([1, _PRIME - 2, _PRIME - 2]))
+        inputs = input_matrix(3, (0,))
+        assert controllability_rank(lap, inputs) == krylov_rank_oracle(lap, inputs, prime=_PRIME) == 2
+        assert krylov_rank_oracle(lap, inputs) == 3
 
     @settings(max_examples=25, deadline=None)
     @given(weighted_instances(min_n=2), st.integers(0, 2**16))
