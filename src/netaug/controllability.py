@@ -18,6 +18,7 @@ sorted by their smallest entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from operator import gt, lt
 from typing import Sequence
 
@@ -46,6 +47,11 @@ PMI_EXACT_GUARD = 20
 
 #: Ranks are exact modulo this prime; below 2**31, a product of two residues fits in int64.
 _PRIME = 2_147_483_629
+
+#: Bytes of one stack of float64 step matrices: ``validate_ssc_bound`` runs its trials
+#: ``max(1, _STACK_BYTES // (8 n^2))`` at a time, and every temporary of a stack's pass
+#: is bounded by a small multiple of the stack.
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -250,28 +256,74 @@ def input_matrix(n: int, leaders: Sequence[int]) -> np.ndarray:
     return mat
 
 
-def _limbs(b: np.ndarray) -> np.ndarray:
-    """``[b_hi | b_lo]``: the 16-bit limbs of the residues ``b`` side by side, as float64.
-    The shifts write into the float64 result directly: one allocation per split."""
-    k = b.shape[1]
-    limbs = np.empty((len(b), 2 * k))
-    np.right_shift(b, 16, out=limbs[:, :k], casting="unsafe")
-    np.bitwise_and(b, 0xFFFF, out=limbs[:, k:], casting="unsafe")
-    return limbs
+def _mod(x: np.ndarray, prime: int) -> np.ndarray:
+    """``x % prime`` in place for int64 ``x``. NumPy's ``%`` on int64 divides in hardware
+    per entry; its floor division by a scalar does not and is several times faster."""
+    quotient = x // prime
+    quotient *= prime
+    x -= quotient
+    return x
 
 
-def _mulmod(a: np.ndarray, b_limbs: np.ndarray, prime: int) -> np.ndarray:
-    """``a @ b`` mod ``prime`` for int64 residues ``a`` and ``b_limbs = _limbs(b)``.
+def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
+    """``a @ b`` mod ``prime``, stacked like ``np.matmul``: ``a`` int64 and ``b`` float64
+    residues, both below 2**31.
 
-    One float64 product ``[a_hi; a_lo] @ [b_hi | b_lo]`` gives the four limb products
-    at once. It is exact: each term is a product of two limbs below 2**16, so every
-    partial sum over an inner dimension k is an integer below k * 2**32 < 2**53, in any
-    summation order. Recombining ``(high * 2**16 + mid) * 2**16 + low`` stays below
-    2**63 in int64 for k <= 2**16; ``DENSE_NODE_GUARD`` is 2**12."""
-    m, k = len(a), b_limbs.shape[1] // 2
-    prod = (np.vstack([a >> 16, a & 0xFFFF]).astype(np.float64) @ b_limbs).astype(np.int64)
-    high, mid, low = prod[:m, :k], prod[:m, k:] + prod[m:, :k], prod[m:, k:]
-    return ((((high << 16) + mid) % prime << 16) + low) % prime
+    ``a`` is split into four 8-bit limbs, one float64 product ``limb @ b`` each. The
+    products are exact: every term is below 2**8 * 2**31, so every partial sum over an
+    inner dimension k <= 4096 (``DENSE_NODE_GUARD``) is an integer below 2**51 < 2**53, in
+    any summation order. Horner's rule recombines them in int64 with two remainders. With
+    ``p_s`` the product of the limb ``(a >> s) & 0xFF``: the top limb is below 2**7, so
+    ``(p_24 << 8) + p_16`` stays below 2**59; reduced below 2**31, it gives
+    ``(((out << 8) + p_8) << 8) + p_0`` below 2**61."""
+
+    def limb(shift: int) -> np.ndarray:
+        return np.matmul(((a >> shift) & 0xFF).astype(np.float64), b).astype(np.int64)
+
+    out = limb(24)
+    out <<= 8
+    out += limb(16)
+    _mod(out, prime)
+    out <<= 8
+    out += limb(8)
+    out <<= 8
+    out += limb(0)
+    return _mod(out, prime)
+
+
+def _step(block: np.ndarray, steps: np.ndarray, live: np.ndarray, prime: int) -> np.ndarray:
+    """``block[i] @ steps[live[i]]`` mod ``prime`` for every live trial i: one stacked
+    product per run of consecutive stack positions, so ``steps`` is never copied."""
+    out = np.empty(block.shape, dtype=np.int64)
+    cuts = [0, *(np.flatnonzero(np.diff(live) != 1) + 1).tolist(), len(live)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        out[lo:hi] = _mulmod(block[lo:hi], steps[live[lo] : live[lo] + hi - lo], prime)
+    return out
+
+
+def _eliminate(block: np.ndarray, prime: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-reduce every trial's block in place, one pivot row at a time for all trials.
+
+    Row i takes its first nonzero column as pivot, is scaled to 1 there, and that
+    column is cleared from every other row of the block (one rank-1 update). Returns
+    ``(new, cols)``: which rows got a pivot in which trial, and the pivot columns. A row
+    without one is zero."""
+    count, m = block.shape[:2]
+    everyone = np.arange(count)
+    new, cols = np.zeros((count, m), dtype=bool), np.zeros((count, m), dtype=np.intp)
+    for i in range(m):
+        row = block[:, i]
+        col = (row != 0).argmax(axis=1)
+        lead = row[everyone, col]
+        if not lead.any():
+            continue
+        inverse = np.array([pow(x, -1, prime) if x else 0 for x in lead.tolist()])
+        row = _mod(row * inverse[:, None], prime)
+        block -= block[everyone, :, col][:, :, None] * row[:, None, :]
+        _mod(block, prime)
+        block[:, i] = row  # the update zeroed it
+        new[:, i], cols[:, i] = lead != 0, col
+    return new, cols
 
 
 def _residues(matrix: np.ndarray, prime: int) -> np.ndarray:
@@ -285,40 +337,65 @@ def _residues(matrix: np.ndarray, prime: int) -> np.ndarray:
     return arr.astype(np.int64) % prime
 
 
-def _rank_mod(step: np.ndarray, inputs: np.ndarray, prime: int, target: int | None = None) -> int:
-    """Dimension of the Krylov space of the rows of ``inputs`` under ``step`` mod ``prime``.
+def _rank_mod(
+    steps: np.ndarray, inputs: np.ndarray, prime: int, target: int | None = None
+) -> np.ndarray:
+    """Krylov rank mod ``prime`` of the rows of ``inputs`` under each step of a stack.
 
-    ``step`` is ``(-L)^T`` and ``inputs`` is ``B^T``, both int64 residues, so the rows
-    of ``inputs @ step**j`` are the columns of ``(-L)^j B``. One block at a time: reduce
-    it against the RREF basis (one product), eliminate within it (one rank-1 update of
-    the block per pivot), fold its new rows into the basis and step them (one product
-    each). ``step`` is split into limbs once, for all its products.
+    ``steps`` is a ``(T, n, n)`` stack of ``(-L)^T`` as float64 residues and ``inputs`` is
+    ``B^T`` as int64 residues, so the rows of ``inputs @ steps[t]**j`` are the columns of
+    ``(-L_t)^j B``. All T trials run in lockstep, one Krylov block at a time, and every
+    Python-level step acts on every live trial at once: reduce the block against the
+    trial's RREF basis (one product), eliminate within it (one rank-1 update per pivot
+    row), clear the new pivot columns from the basis (one rank-1 update per new row),
+    append the new rows and step them (one product).
 
-    With a ``target``, stops after the first block that brings the proved rank to at
-    least ``target`` and returns that rank (it may overshoot by less than a block)."""
-    step_limbs, block = _limbs(step), inputs
-    basis, pivots = np.zeros((0, len(step)), dtype=np.int64), []
-    while True:
-        block = (block - _mulmod(block[:, pivots], _limbs(basis), prime)) % prime
-        rows, cols = [], []
-        for i, row in enumerate(block):
-            nonzero = row.nonzero()[0]
-            if nonzero.size:
-                col = int(nonzero[0])
-                row = row * pow(int(row[col]), -1, prime) % prime
-                block -= block[:, col, None] * row
-                block[i] = row  # the update zeroed it
-                block %= prime
-                rows.append(i)
-                cols.append(col)
-        if not rows:
-            return len(pivots)
-        if target is not None and len(pivots) + len(rows) >= target:
-            return len(pivots) + len(rows)
-        block = block[rows]
-        basis = np.vstack([(basis - _mulmod(basis[:, cols], _limbs(block), prime)) % prime, block])
-        pivots += cols
-        block = _mulmod(block, step_limbs, prime)
+    A trial stops after a block that adds no pivot, or, with a ``target``, after the first
+    block that brings its proved rank to at least ``target`` (it may overshoot by less than
+    a block). Stopped trials leave the work; ``steps`` is never copied. Returns the T ranks
+    at the stops. A correct run adds a pivot per block until it stops and never finds more
+    than n pivots, so it stops within n + 1 blocks. A run that finds more than n pivots or
+    reaches block n + 2 has wrong products and raises ``RuntimeError``."""
+    count, n = steps.shape[0], steps.shape[-1]
+    ranks = np.zeros(count, dtype=np.int64)
+    live = np.arange(count)  # stack positions of the trials still growing
+    block = np.repeat(inputs[None], count, axis=0)
+    basis = np.zeros((count, 0, n), dtype=np.int64)  # a trial's rows first, then zero rows
+    pivots = np.zeros((count, 0), dtype=np.intp)  # 0 beside a zero row
+    for _ in range(n + 1):
+        if basis.shape[1]:
+            coef = np.take_along_axis(block, pivots[:, None, :], axis=2)
+            block = _mod(block - _mulmod(coef, basis.astype(np.float64), prime), prime)
+        new, cols = _eliminate(block, prime)
+        added = new.sum(axis=1)
+        ranks[live] += added
+        if ranks.max() > n:
+            break
+        stop = added == 0
+        if target is not None:
+            stop |= ranks[live] >= target
+        if stop.all():
+            return ranks
+        if stop.any():
+            go = ~stop
+            live, block, basis, pivots = live[go], block[go], basis[go], pivots[go]
+            new, cols, added = new[go], cols[go], added[go]
+        rows = new.any(axis=0)
+        block, new, cols = block[:, rows], new[:, rows], cols[:, rows]
+        everyone = np.arange(len(live))
+        for j in range(block.shape[1]):  # zero rows (no pivot in that trial) change nothing
+            basis -= basis[everyone, :, cols[:, j]][:, :, None] * block[:, None, j]
+            _mod(basis, prime)
+        size = (len(live), int(ranks[live].max()))
+        kept = min(basis.shape[1], size[1])  # rows from `kept` on are padding for every live trial
+        grown, grown_pivots = np.zeros((*size, n), dtype=np.int64), np.zeros(size, dtype=np.intp)
+        grown[:, :kept], grown_pivots[:, :kept] = basis[:, :kept], pivots[:, :kept]
+        trial, j = np.nonzero(new)  # each trial's new rows go right after its old ones
+        slot = (ranks[live] - added)[trial] + np.cumsum(new, axis=1)[trial, j] - 1
+        grown[trial, slot], grown_pivots[trial, slot] = block[trial, j], cols[trial, j]
+        basis, pivots = grown, grown_pivots
+        block = _step(block, steps, live, prime)
+    raise RuntimeError(f"Krylov rank mod {prime} passed n = {n} pivots or n + 1 blocks: wrong products")
 
 
 def controllability_rank(laplacian: np.ndarray, inputs: np.ndarray) -> int:
@@ -331,7 +408,29 @@ def controllability_rank(laplacian: np.ndarray, inputs: np.ndarray) -> int:
     n = lap.shape[0] if lap.ndim == 2 else -1
     if lap.shape != (n, n) or mat_b.ndim != 2 or mat_b.shape[0] != n:
         raise ValueError(f"dimension mismatch: laplacian {lap.shape}, inputs {mat_b.shape}")
-    return _rank_mod(-lap.T % _PRIME, mat_b.T, _PRIME)
+    step = (-lap.T % _PRIME).astype(np.float64)
+    return int(_rank_mod(step[None], mat_b.T, _PRIME)[0])
+
+
+def _stack_ranks(steps: np.ndarray, inputs: np.ndarray, bound: int) -> np.ndarray:
+    """Ranks proved at the stop for a stack of Laplacians with integer weights below 2**31.
+
+    Turns the stack into steps ``(-L)^T`` in place: L is symmetric, so that is one
+    negation, the off-diagonal weights are residues for both primes, and only the
+    diagonal (minus the row sums, exact in float64 below 2**43) is reduced per prime.
+    Trials short of ``bound`` mod ``_PRIME`` are re-run mod 2**31 - 1, which is prime;
+    both ranks are proved lower bounds, so each trial keeps the larger."""
+    n = steps.shape[-1]
+    np.negative(steps, out=steps)
+    diagonal = steps.reshape(len(steps), n * n)[:, :: n + 1]  # a view into steps
+    sums = diagonal.copy()
+    diagonal[:] = sums % _PRIME
+    ranks = _rank_mod(steps, inputs, _PRIME, target=bound)
+    short = np.flatnonzero(ranks < bound)
+    if short.size:
+        diagonal[short] = sums[short] % (2**31 - 1)
+        ranks[short] = np.maximum(ranks[short], _rank_mod(steps[short], inputs, 2**31 - 1, target=bound))
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -379,45 +478,46 @@ def validate_ssc_bound(
     are therefore the ranks proved at the stop (see ``RankValidationReport``); use
     ``controllability_rank`` for the full rank. The bound holds for *all* positive
     weights, so a failure indicates an implementation bug.
-    Each trial builds its step ``(-L)^T`` once, from ``laplacian``: L is symmetric,
-    so that is one negation, and the weights are already residues for both primes,
-    so only the diagonal is reduced per prime. ``_rank_mod`` splits it into limbs
-    once and runs every product of the trial on BLAS (see ``_mulmod``).
+    The trials run in stacks of ``max(1, _STACK_BYTES // (8 n^2))``, each one pass of
+    ``_rank_mod``. A stack's steps ``(-L)^T`` come from one ``laplacian`` call on float64
+    weights: weights below 2**31 and row sums below 2**43 are exact there, L is
+    symmetric, so ``(-L)^T`` is one negation and only the diagonal is reduced per prime.
+    A shortfall re-runs only the short trials of the stack with the second prime.
     The graph must be connected, with at most ``DENSE_NODE_GUARD`` nodes.
     """
     leaders = _check_leaders(g, leaders)
     if bound < 1:
         raise ValueError(f"claimed bound must be >= 1, got {bound}")
+    if isinstance(trials, bool) or not isinstance(trials, Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not is_connected(g):
         raise DisconnectedGraphError("rank validation needs a connected graph")
-    inputs = input_matrix(g.n, leaders).T.astype(np.int64)
+    trials, n = int(trials), g.n
+    inputs = input_matrix(n, leaders).T.astype(np.int64)
     u, v = _edge_arrays(g)
-    ranks: list[int] = []
-    failing: np.ndarray | None = None
-    for trial in range(trials):
-        weights = np.random.default_rng([seed, trial]).integers(1, _PRIME, size=u.size)
-        step = laplacian(g.n, u, v, weights)
-        np.negative(step, out=step)  # (-L)^T, as L is symmetric; off-diagonals are weights < p
-        diagonal = step.diagonal().copy()
-        rank = 0
-        for prime in (_PRIME, 2**31 - 1):  # both ranks are proved lower bounds; 2**31 - 1 is prime
-            np.fill_diagonal(step, diagonal % prime)
-            rank = max(rank, _rank_mod(step, inputs, prime, target=bound))
-            if rank >= bound:
-                break
-        if rank < bound and failing is None:
-            failing = weights
-        ranks.append(rank)
-    min_rank = min(ranks)
+
+    def draw(trial: int) -> np.ndarray:
+        return np.random.default_rng([seed, trial]).integers(1, _PRIME, size=u.size)
+
+    ranks = np.zeros(trials, dtype=np.int64)
+    per_stack = max(1, _STACK_BYTES // (8 * n * n))
+    for first in range(0, trials, per_stack):
+        chunk = range(first, min(first + per_stack, trials))
+        # The weights die with the laplacian call; the stack before the next one is built.
+        steps = laplacian(n, u, v, np.array([draw(trial) for trial in chunk], dtype=np.float64))
+        ranks[chunk.start : chunk.stop] = _stack_ranks(steps, inputs, bound)
+        del steps
+    short = np.flatnonzero(ranks < bound)
+    min_rank = int(ranks.min())
     return RankValidationReport(
         claimed_bound=bound,
         trials=trials,
         min_rank=min_rank,
         passed=min_rank >= bound,
-        ranks=tuple(ranks),
-        failing_weights=None if failing is None else tuple(zip(u.tolist(), v.tolist(), failing.tolist())),
+        ranks=tuple(ranks.tolist()),
+        failing_weights=tuple(zip(u.tolist(), v.tolist(), draw(short[0]).tolist())) if short.size else None,
     )
 
 

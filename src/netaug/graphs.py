@@ -270,14 +270,17 @@ def laplacian(n: int, u, v, weights) -> np.ndarray:
     Off-diagonal entries are ``-w``, the diagonal holds the row sums of the
     weights, so rows sum to zero and the matrix is symmetric and positive
     semidefinite. It keeps the dtype of ``weights``: integer weights give an
-    exact integer matrix. Each node pair must appear at most once. Unequal
-    lengths, a self-loop, an endpoint outside ``0..n-1`` or a weight that is
-    not positive raise ``ValueError``; guarded to ``n <= DENSE_NODE_GUARD``.
+    exact integer matrix. ``weights`` may also be a 2-D stack, one row of edge
+    weights per matrix; the result is then a ``(len(weights), n, n)`` stack, and
+    the checks run once for the whole stack. Each node pair must appear at most
+    once. Unequal lengths, a self-loop, an endpoint outside ``0..n-1`` or a
+    weight that is not positive raise ``ValueError``; guarded to
+    ``n <= DENSE_NODE_GUARD``.
     """
     u, v, weights = np.asarray(u), np.asarray(v), np.asarray(weights)
-    if not (u.shape == v.shape == weights.shape == (u.size,)):
+    if not (u.shape == v.shape == weights.shape[-1:] == (u.size,) and weights.ndim <= 2):
         raise ValueError(
-            f"edge arrays must be 1-D of equal length, "
+            f"edge arrays must be 1-D of equal length (weights may be a 2-D stack of such rows), "
             f"got shapes {u.shape}, {v.shape} and {weights.shape}"
         )
     if np.any(u == v):
@@ -287,9 +290,10 @@ def laplacian(n: int, u, v, weights) -> np.ndarray:
     if not np.all(weights > 0):
         raise ValueError(f"edge weights must be positive, got {weights[~(weights > 0)][0]}")
     _guard_dense(n, "the dense Laplacian")
-    lap = np.zeros((n, n), dtype=weights.dtype)
-    lap[u, v] = lap[v, u] = -weights
-    np.fill_diagonal(lap, -lap.sum(axis=1))
+    stack = weights.shape[:-1]
+    lap = np.zeros((*stack, n, n), dtype=weights.dtype)
+    lap[..., u, v] = lap[..., v, u] = -weights
+    lap.reshape(*stack, n * n)[..., :: n + 1] = -lap.sum(axis=-1)
     return lap
 
 

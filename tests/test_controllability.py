@@ -1,3 +1,4 @@
+import tracemalloc
 from operator import mul
 
 import numpy as np
@@ -24,7 +25,8 @@ from netaug import (
     pmi_greedy,
     validate_ssc_bound,
 )
-from netaug.controllability import _PRIME, _limbs, _mulmod, _rank_mod, _residues
+import netaug.controllability as controllability
+from netaug.controllability import _PRIME, _STACK_BYTES, _mulmod, _rank_mod, _residues, _stack_ranks
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     brute_pmi_length,
@@ -289,10 +291,10 @@ class TestControllabilityRank:
         weights = np.random.default_rng(8).integers(1, _PRIME, size=g.num_edges())
         lap, inputs = graph_laplacian(g, weights), input_matrix(g.n, leaders)
         full = controllability_rank(lap, inputs)
-        step, block = -lap.T % _PRIME, inputs.T.astype(np.int64)
-        assert _rank_mod(step, block, _PRIME, target=None) == full
+        step, block = (-lap.T % _PRIME).astype(np.float64)[None], inputs.T.astype(np.int64)
+        assert _rank_mod(step, block, _PRIME, target=None).tolist() == [full]
         for target in range(1, full + 3):
-            rank = _rank_mod(step, block, _PRIME, target=target)
+            (rank,) = _rank_mod(step, block, _PRIME, target=target)
             if target >= full:
                 assert rank == full
             else:
@@ -313,7 +315,7 @@ class TestLimbProduct:
             a = np.full((2, inner), prime - 1, dtype=np.int64)
             b = np.full((inner, 3), prime - 1, dtype=np.int64)
         exact = [[sum(map(mul, row, col)) % prime for col in zip(*b.tolist())] for row in a.tolist()]
-        assert _mulmod(a, _limbs(b), prime).tolist() == exact
+        assert _mulmod(a, b.astype(np.float64), prime).tolist() == exact
         # One unsplit float64 product rounds: (p - 1)**2 alone needs 62 bits.
         assert np.fmod(a.astype(np.float64) @ b.astype(np.float64), prime).tolist() != exact
 
@@ -373,6 +375,118 @@ class TestValidateBound:
         assert [(u, v) for u, v, _ in report.failing_weights] == sorted(g.edges)
         weights = np.random.default_rng([4, 0]).integers(1, _PRIME, size=g.num_edges())
         assert [w for _, _, w in report.failing_weights] == weights.tolist()
+
+    @pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, "3", None])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            validate_ssc_bound(path_graph(3), (0,), bound=3, trials=trials)
+
+    def test_numpy_integer_trials_report_a_python_int(self):
+        report = validate_ssc_bound(path_graph(3), (0,), bound=3, trials=np.int64(2))
+        assert report.trials == 2 and type(report.trials) is int and len(report.ranks) == 2
+
+
+def per_stack(n: int) -> int:
+    return max(1, _STACK_BYTES // (8 * n * n))
+
+
+class TestStackedValidation:
+    def test_wrong_products_raise_instead_of_looping(self, monkeypatch):
+        # One added to every product: reduction no longer clears the pivot columns, so
+        # every block finds "new" pivots. Without the cap the full rank would never stop,
+        # and the validator would report a rank above n as a pass.
+        right = controllability._mulmod
+        monkeypatch.setattr(controllability, "_mulmod", lambda a, b, prime: (right(a, b, prime) + 1) % prime)
+        g = path_graph(6)
+        with pytest.raises(RuntimeError, match="wrong products"):
+            controllability_rank(graph_laplacian(g), input_matrix(6, (0,)))
+        with pytest.raises(RuntimeError, match="wrong products"):
+            validate_ssc_bound(g, (0,), bound=7, trials=3, seed=0)
+
+    def test_stacks_match_a_per_trial_reference(self):
+        # The smallest n whose stack holds fewer than `trials` trials, so the run spans
+        # two stacks. Bounds stop the trials after the first, a middle and the last
+        # productive block; full + 1 fails every trial, re-checked mod 2**31 - 1.
+        trials, seed, leaders = 40, 9, (0, 7, 19)
+        n = next(n for n in range(2, DENSE_NODE_GUARD) if per_stack(n) < trials)
+        g = random_connected_graph(n, 3 / n, seed=2)
+        u, v = np.array(g.sorted_edges()).reshape(-1, 2).T
+        inputs = input_matrix(n, leaders)
+        laps = [
+            laplacian(n, u, v, np.random.default_rng([seed, t]).integers(1, _PRIME, size=u.size))
+            for t in range(trials)
+        ]
+        full = [controllability_rank(lap, inputs) for lap in laps]
+        steps = [(-lap.T % _PRIME).astype(np.float64)[None] for lap in laps]
+        block = inputs.T.astype(np.int64)
+        for bound in (1, min(full) // 2, min(full), max(full) + 1):
+            report = validate_ssc_bound(g, leaders, bound, trials=trials, seed=seed)
+            expected = [
+                rank if rank < bound else int(_rank_mod(step, block, _PRIME, target=bound)[0])
+                for rank, step in zip(full, steps)
+            ]
+            assert list(report.ranks) == expected
+            assert report.passed == (min(full) >= bound)
+            assert all(bound <= r < bound + len(leaders) for r, f in zip(report.ranks, full) if f >= bound)
+            if not report.passed:
+                first = next(t for t, rank in enumerate(full) if rank < bound)
+                assert [w for _, _, w in report.failing_weights] == (-laps[first][u, v]).tolist()
+
+    def test_trials_stop_in_different_blocks(self):
+        # Leader at the centre of a star: the rank is 1 + the number of distinct leaf
+        # weights, one new pivot per block. Trials with repeated weights stop early and
+        # fall short; the others run on as a non-contiguous part of the stack.
+        leaves = 6
+        g = star_graph(leaves)
+        u, v = np.array(g.sorted_edges()).reshape(-1, 2).T
+        distinct = np.arange(1, leaves + 1) * 1_000_003
+        weights = np.array([distinct, [5] * leaves, distinct[::-1], [5, 5, 9, 9, 9, 9], distinct * 7])
+        inputs = input_matrix(leaves + 1, (0,))
+        full = [controllability_rank(laplacian(leaves + 1, u, v, w), inputs) for w in weights]
+        assert full == [7, 2, 7, 3, 7]
+        for bound in (3, 7, 8):
+            stack = laplacian(leaves + 1, u, v, weights.astype(np.float64))
+            ranks = _stack_ranks(stack, inputs.T.astype(np.int64), bound)
+            assert ranks.tolist() == [min(r, bound) for r in full]  # one pivot per block
+
+    def test_ragged_stacks_match_single_trial_runs(self):
+        # Inputs e_0, e_1 and generic steps gain two pivots per block; where e_1 is a left
+        # eigenvector of the step, one per block. Mixed in one stack, the trials hold bases
+        # of different sizes, stop in different blocks and leave a non-contiguous live set.
+        n, rng = 8, np.random.default_rng(11)
+        steps = rng.integers(0, _PRIME, size=(5, n, n))
+        for t in (0, 2):
+            steps[t, 1] = 0
+            steps[t, 1, 1] = rng.integers(1, _PRIME)
+        inputs = np.eye(2, n, dtype=np.int64)
+        stack = steps.astype(np.float64)
+        for target in (None, 3, 5, n, n + 1):
+            ranks = _rank_mod(stack, inputs, _PRIME, target=target).tolist()
+            assert ranks == [_rank_mod(stack[t : t + 1], inputs, _PRIME, target=target)[0] for t in range(5)]
+            if target is None:
+                assert ranks == [krylov_rank_oracle(-step.T, inputs.T, prime=_PRIME) for step in steps]
+                assert ranks == [n, n, n, n, n]
+
+    def test_memory_is_bounded_by_the_stack(self):
+        # P60 with an end leader runs to full rank (a basis as large as the stack); ER
+        # n = 200 holds few trials per stack. Neither peak grows with the trial count
+        # beyond the growth of the stack itself.
+        er = erdos_renyi(GenSpec(model="erdos-renyi", n=200, p=10 / 199, seed=1))
+        leaders = (0, 50, 100, 150, 199)
+        cases = [(path_graph(60), (0,), 60), (er, leaders, len(pmi_greedy(er, leaders)))]
+        validate_ssc_bound(*cases[0], trials=1)  # first-call imports are not the validator's
+        for g, leaders, bound in cases:
+            peaks = {}
+            for trials in (25, 100):
+                tracemalloc.start()
+                try:
+                    assert validate_ssc_bound(g, leaders, bound, trials=trials).passed
+                    peaks[trials] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks.values()) < 4 * max(_STACK_BYTES, 8 * g.n**2)
+            growth = min(100, per_stack(g.n)) / min(25, per_stack(g.n))
+            assert peaks[100] < 1.1 * growth * peaks[25]
 
 
 @st.composite

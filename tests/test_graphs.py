@@ -200,6 +200,23 @@ class TestLaplacian:
         assert exact.dtype == np.int64 and exact[1, 1] == 2**31 + 2
         assert laplacian(3, u, v, np.array([0.5, 1.0])).dtype == np.float64
 
+    def test_weight_stack_gives_a_stack_of_laplacians(self):
+        g = erdos_renyi(GenSpec(model="erdos-renyi", n=9, p=0.4, seed=3))
+        u, v = edge_arrays(g)
+        weights = np.random.default_rng(2).integers(1, 2**31, size=(4, u.size))
+        stack = laplacian(9, u, v, weights)
+        assert stack.shape == (4, 9, 9) and stack.dtype == np.int64
+        for lap, row in zip(stack, weights):
+            assert np.array_equal(lap, laplacian(9, u, v, row))
+        empty = np.array([], dtype=np.int64)
+        assert laplacian(1, empty, empty, np.ones((3, 0))).tolist() == [[[0.0]]] * 3
+        with pytest.raises(ValueError, match="equal length"):
+            laplacian(9, u, v, weights[:, 1:])
+        with pytest.raises(ValueError, match="equal length"):
+            laplacian(9, u, v, weights[None])
+        with pytest.raises(ValueError, match="positive"):
+            laplacian(9, u, v, np.where(np.arange(u.size) == 2, 0, weights))
+
     def test_missing_weight_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             laplacian(3, *edge_arrays(path_graph(3)), [1.0])
