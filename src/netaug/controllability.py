@@ -291,16 +291,6 @@ def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
     return _mod(out, prime)
 
 
-def _step(block: np.ndarray, steps: np.ndarray, live: np.ndarray, prime: int) -> np.ndarray:
-    """``block[i] @ steps[live[i]]`` mod ``prime`` for every live trial i: one stacked
-    product per run of consecutive stack positions, so ``steps`` is never copied."""
-    out = np.empty(block.shape, dtype=np.int64)
-    cuts = [0, *(np.flatnonzero(np.diff(live) != 1) + 1).tolist(), len(live)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        out[lo:hi] = _mulmod(block[lo:hi], steps[live[lo] : live[lo] + hi - lo], prime)
-    return out
-
-
 def _eliminate(block: np.ndarray, prime: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-reduce every trial's block in place, one pivot row at a time for all trials.
 
@@ -345,20 +335,23 @@ def _rank_mod(
     ``steps`` is a ``(T, n, n)`` stack of ``(-L)^T`` as float64 residues and ``inputs`` is
     ``B^T`` as int64 residues, so the rows of ``inputs @ steps[t]**j`` are the columns of
     ``(-L_t)^j B``. All T trials run in lockstep, one Krylov block at a time, and every
-    Python-level step acts on every live trial at once: reduce the block against the
+    Python-level step acts on the whole stack at once: reduce the block against the
     trial's RREF basis (one product), eliminate within it (one rank-1 update per pivot
     row), clear the new pivot columns from the basis (one rank-1 update per new row),
     append the new rows and step them (one product).
 
     A trial stops after a block that adds no pivot, or, with a ``target``, after the first
     block that brings its proved rank to at least ``target`` (it may overshoot by less than
-    a block). Stopped trials leave the work; ``steps`` is never copied. Returns the T ranks
-    at the stops. A correct run adds a pivot per block until it stops and never finds more
-    than n pivots, so it stops within n + 1 blocks. A run that finds more than n pivots or
+    a block). Trials stay in the pass until the last one stops, and each reports the rank
+    proved at its own stop: after a block without a pivot its block is zero for good, and
+    growth past the target changes nothing it reports. Returns the T ranks at the stops.
+    A correct run adds a pivot per block until it stops and never finds more than n
+    pivots, so it stops within n + 1 blocks. A run that finds more than n pivots or
     reaches block n + 2 has wrong products and raises ``RuntimeError``."""
     count, n = steps.shape[0], steps.shape[-1]
-    ranks = np.zeros(count, dtype=np.int64)
-    live = np.arange(count)  # stack positions of the trials still growing
+    everyone = np.arange(count)
+    found = np.zeros(count, dtype=np.int64)  # pivots so far
+    ranks, stopped = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
     block = np.repeat(inputs[None], count, axis=0)
     basis = np.zeros((count, 0, n), dtype=np.int64)  # a trial's rows first, then zero rows
     pivots = np.zeros((count, 0), dtype=np.intp)  # 0 beside a zero row
@@ -368,33 +361,28 @@ def _rank_mod(
             block = _mod(block - _mulmod(coef, basis.astype(np.float64), prime), prime)
         new, cols = _eliminate(block, prime)
         added = new.sum(axis=1)
-        ranks[live] += added
-        if ranks.max() > n:
+        found += added
+        if found.max() > n:
             break
-        stop = added == 0
+        ranks[~stopped] = found[~stopped]
+        stopped |= added == 0
         if target is not None:
-            stop |= ranks[live] >= target
-        if stop.all():
+            stopped |= found >= target
+        if stopped.all():
             return ranks
-        if stop.any():
-            go = ~stop
-            live, block, basis, pivots = live[go], block[go], basis[go], pivots[go]
-            new, cols, added = new[go], cols[go], added[go]
         rows = new.any(axis=0)
         block, new, cols = block[:, rows], new[:, rows], cols[:, rows]
-        everyone = np.arange(len(live))
         for j in range(block.shape[1]):  # zero rows (no pivot in that trial) change nothing
             basis -= basis[everyone, :, cols[:, j]][:, :, None] * block[:, None, j]
             _mod(basis, prime)
-        size = (len(live), int(ranks[live].max()))
-        kept = min(basis.shape[1], size[1])  # rows from `kept` on are padding for every live trial
+        size = (count, int(found.max()))
         grown, grown_pivots = np.zeros((*size, n), dtype=np.int64), np.zeros(size, dtype=np.intp)
-        grown[:, :kept], grown_pivots[:, :kept] = basis[:, :kept], pivots[:, :kept]
+        grown[:, : basis.shape[1]], grown_pivots[:, : basis.shape[1]] = basis, pivots
         trial, j = np.nonzero(new)  # each trial's new rows go right after its old ones
-        slot = (ranks[live] - added)[trial] + np.cumsum(new, axis=1)[trial, j] - 1
+        slot = (found - added)[trial] + np.cumsum(new, axis=1)[trial, j] - 1
         grown[trial, slot], grown_pivots[trial, slot] = block[trial, j], cols[trial, j]
         basis, pivots = grown, grown_pivots
-        block = _step(block, steps, live, prime)
+        block = _mulmod(block, steps, prime)
     raise RuntimeError(f"Krylov rank mod {prime} passed n = {n} pivots or n + 1 blocks: wrong products")
 
 
@@ -413,7 +401,8 @@ def controllability_rank(laplacian: np.ndarray, inputs: np.ndarray) -> int:
 
 
 def _stack_ranks(steps: np.ndarray, inputs: np.ndarray, bound: int) -> np.ndarray:
-    """Ranks proved at the stop for a stack of Laplacians with integer weights below 2**31.
+    """Ranks proved at each trial's own stop for a stack of Laplacians with integer weights
+    below 2**31 (one ``_rank_mod`` pass per prime).
 
     Turns the stack into steps ``(-L)^T`` in place: L is symmetric, so that is one
     negation, the off-diagonal weights are residues for both primes, and only the
@@ -479,22 +468,23 @@ def validate_ssc_bound(
     ``controllability_rank`` for the full rank. The bound holds for *all* positive
     weights, so a failure indicates an implementation bug.
     The trials run in stacks of ``max(1, _STACK_BYTES // (8 n^2))``, each one pass of
-    ``_rank_mod``. A stack's steps ``(-L)^T`` come from one ``laplacian`` call on float64
-    weights: weights below 2**31 and row sums below 2**43 are exact there, L is
-    symmetric, so ``(-L)^T`` is one negation and only the diagonal is reduced per prime.
-    A shortfall re-runs only the short trials of the stack with the second prime.
-    The graph must be connected, with at most ``DENSE_NODE_GUARD`` nodes.
+    ``_rank_mod``: its trials stay in the pass until the last one stops, and each reports
+    the rank proved at its own stop. A stack's steps ``(-L)^T`` come from one
+    ``laplacian`` call on float64 weights: weights below 2**31 and row sums below 2**43
+    are exact there, L is symmetric, so ``(-L)^T`` is one negation and only the diagonal
+    is reduced per prime. A shortfall re-runs only the short trials of the stack with the
+    second prime. ``bound`` and ``trials`` must be integers >= 1 (``ValueError``
+    otherwise). The graph must be connected, with at most ``DENSE_NODE_GUARD`` nodes.
     """
     leaders = _check_leaders(g, leaders)
-    if bound < 1:
-        raise ValueError(f"claimed bound must be >= 1, got {bound}")
-    if isinstance(trials, bool) or not isinstance(trials, Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    for name, value in (("claimed bound", bound), ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if not is_connected(g):
         raise DisconnectedGraphError("rank validation needs a connected graph")
-    trials, n = int(trials), g.n
+    bound, trials, n = int(bound), int(trials), g.n
     inputs = input_matrix(n, leaders).T.astype(np.int64)
     u, v = _edge_arrays(g)
 

@@ -273,8 +273,9 @@ def laplacian(n: int, u, v, weights) -> np.ndarray:
     exact integer matrix. ``weights`` may also be a 2-D stack, one row of edge
     weights per matrix; the result is then a ``(len(weights), n, n)`` stack, and
     the checks run once for the whole stack. Each node pair must appear at most
-    once. Unequal lengths, a self-loop, an endpoint outside ``0..n-1`` or a
-    weight that is not positive raise ``ValueError``; guarded to
+    once; no edges give the zero matrix (or stack). Unequal lengths, endpoint
+    arrays that are not integer, a self-loop, an endpoint outside ``0..n-1`` or
+    a weight that is not positive raise ``ValueError``; guarded to
     ``n <= DENSE_NODE_GUARD``.
     """
     u, v, weights = np.asarray(u), np.asarray(v), np.asarray(weights)
@@ -283,6 +284,10 @@ def laplacian(n: int, u, v, weights) -> np.ndarray:
             f"edge arrays must be 1-D of equal length (weights may be a 2-D stack of such rows), "
             f"got shapes {u.shape}, {v.shape} and {weights.shape}"
         )
+    if not u.size:  # np.asarray([]) is float64, which cannot index
+        u = v = np.zeros(0, dtype=np.intp)
+    elif u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
+        raise ValueError(f"edge endpoints must be integers, got dtypes {u.dtype} and {v.dtype}")
     if np.any(u == v):
         raise ValueError(f"self-loop on node {u[u == v][0]} is not allowed")
     if u.size and not (0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n):

@@ -1,9 +1,10 @@
+import json
 import tracemalloc
 from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netaug import (
@@ -27,7 +28,7 @@ from netaug import (
 )
 import netaug.controllability as controllability
 from netaug.controllability import _PRIME, _STACK_BYTES, _mulmod, _rank_mod, _residues, _stack_ranks
-from netaug.graphs import DENSE_NODE_GUARD
+from netaug.graphs import DENSE_NODE_GUARD, _edge_arrays
 from helpers import (
     brute_pmi_length,
     complete_graph,
@@ -381,6 +382,16 @@ class TestValidateBound:
         with pytest.raises(ValueError, match="trials must be an integer"):
             validate_ssc_bound(path_graph(3), (0,), bound=3, trials=trials)
 
+    @pytest.mark.parametrize("bound", [True, False, 2.5, 3.0, "3", None])
+    def test_bound_must_be_an_integer(self, bound):
+        with pytest.raises(ValueError, match="claimed bound must be an integer"):
+            validate_ssc_bound(path_graph(3), (0,), bound=bound, trials=2)
+
+    def test_numpy_integer_bound_reports_a_python_int(self):
+        report = validate_ssc_bound(path_graph(3), (0,), bound=np.int64(3), trials=2)
+        assert report.passed and type(report.claimed_bound) is int
+        assert json.loads(json.dumps(report.to_json()))["claimed_bound"] == 3
+
     def test_numpy_integer_trials_report_a_python_int(self):
         report = validate_ssc_bound(path_graph(3), (0,), bound=3, trials=np.int64(2))
         assert report.trials == 2 and type(report.trials) is int and len(report.ranks) == 2
@@ -504,6 +515,16 @@ def weighted_instances(draw, min_n=1, max_n=7, max_leaders=None, max_weight=50):
     return g, weights, leaders
 
 
+@st.composite
+def weight_stacks(draw):
+    """A ``weighted_instances`` graph and leaders, 2-6 rows of edge weights 1..3 and a
+    target that is ``None`` or 1..n+1."""
+    g, _, leaders = draw(weighted_instances())
+    size = g.num_edges()
+    weights = draw(st.lists(st.lists(st.integers(1, 3), min_size=size, max_size=size), min_size=2, max_size=6))
+    return g, leaders, weights, draw(st.none() | st.integers(1, g.n + 1))
+
+
 class TestRankProperties:
     @settings(max_examples=160, deadline=None)
     @given(st.sampled_from((50, _PRIME - 1)).flatmap(lambda top: weighted_instances(max_weight=top)))
@@ -517,6 +538,24 @@ class TestRankProperties:
         rank, rational = controllability_rank(lap, inputs), krylov_rank_oracle(lap, inputs)
         assert rank == krylov_rank_oracle(lap, inputs, prime=_PRIME)
         assert rank == rational if weights.max(initial=0) <= 50 else rank <= rational
+
+    @settings(max_examples=80, deadline=None)
+    @example((Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]), (2, 3), [[3, 3, 2, 1, 3], [1] * 5], 4))
+    @given(weight_stacks())
+    def test_stacked_ranks_equal_single_trial_ranks(self, stack):
+        # Weights 1..3 repeat often, so the trials of one stack reach different ranks and
+        # stop in different blocks; each must report what it reports alone. In the explicit
+        # example the first trial reaches the target a block before the second and would
+        # report 5 if it kept counting.
+        g, leaders, weights, target = stack
+        u, v = _edge_arrays(g)
+        laps = laplacian(g.n, u, v, np.array(weights, dtype=np.float64).reshape(len(weights), u.size))
+        steps = np.mod(-laps, _PRIME)  # (-L)^T, as L is symmetric
+        inputs = input_matrix(g.n, leaders).T.astype(np.int64)
+        ranks = _rank_mod(steps, inputs, _PRIME, target=target).tolist()
+        assert ranks == [_rank_mod(steps[t : t + 1], inputs, _PRIME, target=target)[0] for t in range(len(steps))]
+        if target is None:
+            assert ranks == [krylov_rank_oracle(lap, inputs.T, prime=_PRIME) for lap in laps]
 
     def test_modular_rank_can_fall_below_the_rational_rank(self):
         g = complete_graph(3)

@@ -228,11 +228,22 @@ class TestLaplacian:
 
     @pytest.mark.parametrize(
         "u, v, match",
-        [([1], [1], "self-loop"), ([0], [3], "out of range"), ([-1], [0], "out of range")],
+        [
+            ([1], [1], "self-loop"),
+            ([0], [3], "out of range"),
+            ([-1], [0], "out of range"),
+            ([0.0], [1.0], "must be integers"),
+            ([0], [True], "must be integers"),
+        ],
     )
     def test_bad_endpoint_rejected(self, u, v, match):
         with pytest.raises(ValueError, match=match):
             laplacian(3, u, v, [1.0])
+
+    def test_empty_edge_lists_give_zero_matrices(self):
+        # np.asarray([]) is float64, which cannot index.
+        assert laplacian(1, [], [], []).tolist() == [[0.0]]
+        assert laplacian(3, [], [], np.ones((2, 0))).tolist() == [np.zeros((3, 3)).tolist()] * 2
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
