@@ -549,7 +549,7 @@ class TestRankProperties:
         # report 5 if it kept counting.
         g, leaders, weights, target = stack
         u, v = _edge_arrays(g)
-        laps = laplacian(g.n, u, v, np.array(weights, dtype=np.float64).reshape(len(weights), u.size))
+        laps = laplacian(g.n, u, v, np.array(weights, dtype=np.float64))
         steps = np.mod(-laps, _PRIME)  # (-L)^T, as L is symmetric
         inputs = input_matrix(g.n, leaders).T.astype(np.int64)
         ranks = _rank_mod(steps, inputs, _PRIME, target=target).tolist()
