@@ -3,13 +3,12 @@
 
 Builds a small random graph, splits its nodes into levels between two
 far-apart nodes, induces the chain of cliques over those levels, and
-cross-checks the result against exhaustive search.
+compares its size with T, the missing edges legal alone.
 """
 
 from netaug import (
     GenSpec,
     augment_pair,
-    augment_pair_brute_force,
     bfs_distances,
     classify_fixed_nodes,
     erdos_renyi,
@@ -41,14 +40,15 @@ def main():
         print(f"  level {i}: {list(level)}")
 
     result = augment_pair(g, 0, b)
-    print(f"chain solution: {len(result.edges_after)} edges "
-          f"(+{len(result.added)}, bound {result.upper_bound_addable})")
+    print(f"chain solution: {len(result.edges_after)} edges (+{len(result.added)})")
 
     h_dist = bfs_distances(type(g)(g.n, result.edges_after), 0)
     print(f"pair distance afterwards: {h_dist[b]} (unchanged)")
 
-    optimum, _ = augment_pair_brute_force(g, 0, b)
-    print(f"exhaustive optimum: {optimum} edges -> gap {optimum - len(result.edges_after)}")
+    bound = result.upper_bound_addable
+    verdict = "so the chain is optimal" if len(result.added) == bound else "the optimum lies between"
+    print(f"chain +{len(result.added)} vs T = {bound} edges legal alone: {verdict}")
+    print("exact optima: see tests/test_augmentation.py::TestBruteForce (MILP oracle)")
 
 
 if __name__ == "__main__":

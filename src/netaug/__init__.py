@@ -12,7 +12,6 @@ from .augmentation import (
     addable_edge_upper_bound,
     augment_intersection,
     augment_pair,
-    augment_pair_brute_force,
     augment_randomized,
     build_clique_chain,
     classify_fixed_nodes,
@@ -78,7 +77,6 @@ __all__ = [
     "aggregates_to_csv",
     "augment_intersection",
     "augment_pair",
-    "augment_pair_brute_force",
     "augment_randomized",
     "barabasi_albert",
     "bfs_distances",

@@ -1,15 +1,17 @@
 """Maximal edge addition under distance-preservation constraints.
 
 The single-pair solver builds a chain of cliques over BFS levels between the
-pair, which is an optimal shape: any denser graph would shorten the pair
-distance. Two multi-pair algorithms lift this to a whole set of monitored
-(leader, node) pairs taken from a PMI sequence: one intersects the per-pair
-chain solutions, so an edge survives iff its endpoints are at most one level
-apart for every monitored pair; the other scans a shuffled complement edge
-list and keeps every edge whose addition preserves all monitored distances,
-repeated best-of-c. Both therefore keep the PMI sequence (and the
-controllability bound it certifies) valid on the augmented graph, and
-neither adds more than ``T``, the missing edges legal alone on the input graph.
+pair, the shape of every optimum. It is maximal (any denser graph would
+shorten the pair distance), though its level rule for nodes off the pair's
+geodesics does not always reach the optimum. Two multi-pair algorithms lift
+this to a whole set of monitored (leader, node) pairs taken from a PMI
+sequence: one intersects the per-pair chain solutions, so an edge survives
+iff its endpoints are at most one level apart for every monitored pair; the
+other scans a shuffled complement edge list and keeps every edge whose
+addition preserves all monitored distances, repeated best-of-c. Both
+therefore keep the PMI sequence (and the controllability bound it certifies)
+valid on the augmented graph, and neither adds more than ``T``, the missing
+edges legal alone on the input graph.
 
 Everything here reads one input: BFS distance int arrays from the pair's
 ends, or from each leader and PMI node, checked once as they are computed
@@ -30,15 +32,12 @@ from typing import Sequence
 import numpy as np
 
 from .controllability import PMISequence, _check_leaders
-from .errors import SizeGuardError
 from .graphs import (
     Edge,
     Graph,
     _checked_distances,
     _guard_dense,
     _missing_pairs,
-    bfs_distances,
-    complement_edges,
 )
 
 __all__ = [
@@ -47,16 +46,11 @@ __all__ = [
     "level_partition",
     "build_clique_chain",
     "augment_pair",
-    "augment_pair_brute_force",
     "augment_intersection",
     "augment_randomized",
     "addable_edge_upper_bound",
     "success_probability_bound",
-    "BRUTE_FORCE_GUARD",
 ]
-
-#: Exhaustive pair search refuses graphs larger than this.
-BRUTE_FORCE_GUARD = 8
 
 
 @dataclass(frozen=True)
@@ -216,49 +210,6 @@ def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
     )
 
 
-def augment_pair_brute_force(g: Graph, a: int, b: int) -> tuple[int, frozenset[Edge]]:
-    """True optimum of the single-pair problem by exhaustive subset search.
-
-    Returns ``(max_total_edges, one_optimal_edge_set)``. Search prunes any
-    superset of a set that already shortens the pair distance, and starts
-    from the clique-chain solution as incumbent. Guarded to ``n <= 8``.
-    """
-    if g.n > BRUTE_FORCE_GUARD:
-        raise SizeGuardError(
-            f"brute force is limited to n <= {BRUTE_FORCE_GUARD}, got n={g.n}"
-        )
-    # The chain solution is the incumbent; building it rejects unreachable nodes.
-    best: list[Edge] = sorted(augment_pair(g, a, b).added)
-    dist_a, dist_b, k = _pair_distances(g, a, b)
-
-    def single_edge_ok(edge: Edge, da: Sequence[int], db: Sequence[int]) -> bool:
-        u, v = edge
-        return min(da[u] + db[v], da[v] + db[u]) + 1 >= k
-
-    candidates = [
-        e for e in sorted(complement_edges(g)) if single_edge_ok(e, dist_a, dist_b)
-    ]
-
-    def dfs(accepted: list[Edge], cands: list[Edge]):
-        nonlocal best
-        if len(accepted) + len(cands) <= len(best):
-            return
-        if not cands:
-            best = list(accepted)
-            return
-        edge, rest = cands[0], cands[1:]
-        accepted.append(edge)
-        h = g.add_edges(accepted)
-        da, db = bfs_distances(h, a), bfs_distances(h, b)
-        dfs(accepted, [f for f in rest if single_edge_ok(f, da, db)])  # type: ignore[arg-type]
-        accepted.pop()
-        dfs(accepted, rest)
-
-    dfs([], candidates)
-    edges_after = frozenset(g.edges | set(best))
-    return len(edges_after), edges_after
-
-
 def _instance(
     g: Graph, leaders: Sequence[int], pmi: PMISequence
 ) -> tuple[list[tuple[int, int]], dict[int, np.ndarray]]:
@@ -375,7 +326,14 @@ def augment_randomized(
       distance to a node falls to ``d``, only the ``l`` term of its
       thresholds rises, so they become the field-wise maximum of the old
       ones and ``max(d(l, v) - 1 - d, 0)``.
+
+    ``seed`` and ``repetitions`` must be integers, ``repetitions`` >= 1
+    (``ValueError`` otherwise).
     """
+    for name, value in (("seed", seed), ("repetitions", repetitions)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    seed, repetitions = int(seed), int(repetitions)
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     start = time.perf_counter()

@@ -41,9 +41,10 @@ class ExperimentConfig:
     """Grid description for one ensemble study.
 
     ``parameters`` holds edge probabilities for the Erdos-Renyi model or
-    attachment counts for Barabasi-Albert. Defaults are desk scale; the
-    full-scale study in the CLI (``--full``) bumps ``instances`` to 100 and
-    ``repetitions`` to 150.
+    attachment counts for Barabasi-Albert. Neither grid may repeat a value as
+    a number (``1`` and ``1.0`` are one cell), which would rerun the same
+    trials. Defaults are desk scale; the full-scale study in the CLI
+    (``--full``) bumps ``instances`` to 100 and ``repetitions`` to 150.
     """
 
     model: str
@@ -76,6 +77,10 @@ class ExperimentConfig:
         for count in self.leader_counts:
             if not (1 <= count <= self.n):
                 raise ValueError(f"leader count {count} impossible for n={self.n}")
+        for name, values in (("parameters", self.parameters), ("leader_counts", self.leader_counts)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} repeats the value {repeated[0]!r}")
         if self.instances < 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
         if self.repetitions < 1:
@@ -243,41 +248,24 @@ def run_experiment(
 
 
 def _aggregate(records: list[ExperimentRecord]) -> list[ExperimentAggregate]:
+    """One aggregate per cell; each ``mean_<name>`` field averages record field ``<name>``."""
     cells: dict[tuple, list[ExperimentRecord]] = {}
     for rec in records:
         cells.setdefault((rec.model, rec.parameter, rec.num_leaders), []).append(rec)
-
-    def mean(values) -> float:
-        values = list(values)
-        return sum(values) / len(values)
-
-    out = []
-    for (model, parameter, num_leaders), cell in sorted(cells.items()):
-        out.append(
-            ExperimentAggregate(
-                model=model,
-                parameter=parameter,
-                num_leaders=num_leaders,
-                trials=len(cell),
-                mean_pmi_length=mean(r.pmi_length for r in cell),
-                mean_edges_before=mean(r.edges_before for r in cell),
-                mean_edges_after_intersection=mean(
-                    r.edges_after_intersection for r in cell
-                ),
-                mean_edges_after_randomized=mean(
-                    r.edges_after_randomized for r in cell
-                ),
-                mean_upper_bound=mean(r.upper_bound for r in cell),
-                mean_kirchhoff_before=mean(r.kirchhoff_before for r in cell),
-                mean_kirchhoff_after_intersection=mean(
-                    r.kirchhoff_after_intersection for r in cell
-                ),
-                mean_kirchhoff_after_randomized=mean(
-                    r.kirchhoff_after_randomized for r in cell
-                ),
-            )
+    means = [f.name for f in fields(ExperimentAggregate) if f.name.startswith("mean_")]
+    return [
+        ExperimentAggregate(
+            model=model,
+            parameter=parameter,
+            num_leaders=num_leaders,
+            trials=len(cell),
+            **{
+                name: sum(getattr(r, name.removeprefix("mean_")) for r in cell) / len(cell)
+                for name in means
+            },
         )
-    return out
+        for (model, parameter, num_leaders), cell in sorted(cells.items())
+    ]
 
 
 def _format(value) -> str:

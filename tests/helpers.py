@@ -2,10 +2,10 @@
 
 The oracles here deliberately take different routes than the library code
 (forward enumeration vs backward memo search, per-pick rescans vs one
-sorted pass, per-coordinate scans vs suffix minima, full-subset scans vs pruned
-DFS, pseudo-inverse resistances vs eigenvalue sums, rational elimination vs
-modular Krylov blocks) so they can catch bugs in the implementations they
-check.
+sorted pass, per-coordinate scans vs suffix minima, a MILP optimum vs clique
+chains and greedy scans, pseudo-inverse resistances vs eigenvalue sums,
+rational elimination vs modular Krylov blocks) so they can catch bugs in the
+implementations they check.
 """
 
 from __future__ import annotations
@@ -163,6 +163,54 @@ def full_subset_pair_optimum(g: Graph, a: int, b: int) -> int:
         if bfs_distances(h, a)[b] == k:
             best = g.num_edges() + len(extra)
     return best
+
+
+def optimum_oracle(g: Graph, pairs) -> tuple[int, frozenset]:
+    """Most missing edges that keep every (leader, node) distance in ``pairs``,
+    by a MILP solved to optimality: ``(size, added_edges)``.
+
+    One binary z_e per missing edge and one integer potential phi per leader l,
+    with ``0 <= phi(v) <= d_G(l, v)``, ``phi(l) = 0`` and ``phi(v) >= d_G(l, v)``
+    for each of l's nodes v. ``|phi(x) - phi(y)| <= 1`` holds on the edges of G,
+    and on a missing edge once z_e = 1. A feasible phi bounds every path from l
+    to v in the augmented graph H below by phi(v), and ``d_H(l, .)`` is itself a
+    feasible phi, so the optimum keeps the distances. The answer is re-checked
+    by (min, +) distances.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = g.n
+    missing = [(u, w) for u in range(n) for w in range(u + 1, n) if (u, w) not in g.edges]
+    before = all_pairs_min_plus(g)
+    leaders = sorted({ell for ell, _ in pairs})
+    lower = np.zeros(len(missing) + n * len(leaders))
+    upper = np.concatenate([np.ones(len(missing))] + [before[ell] for ell in leaders])
+    for ell, v in pairs:
+        lower[len(missing) + n * leaders.index(ell) + v] = before[ell, v]
+    rows, caps = [], []
+    for k in range(len(leaders)):
+        phi = len(missing) + n * k
+        for z, (x, y) in [(None, e) for e in sorted(g.edges)] + list(enumerate(missing)):
+            for s, t in ((phi + x, phi + y), (phi + y, phi + x)):
+                excess = upper[s] - lower[t] - 1  # how far phi_s - phi_t can pass 1
+                if excess > 0:
+                    row = np.zeros(lower.size)
+                    row[s], row[t], cap = 1, -1, 1
+                    if z is not None:  # phi_s - phi_t <= 1 + excess * (1 - z)
+                        row[z] = excess
+                        cap += excess
+                    rows.append(row)
+                    caps.append(cap)
+    cost = np.concatenate([-np.ones(len(missing)), np.zeros(n * len(leaders))])
+    constraints = [LinearConstraint(np.array(rows), -np.inf, caps)] if rows else []
+    res = milp(cost, constraints=constraints, integrality=np.ones(cost.size),
+               bounds=Bounds(lower, upper), options={"mip_rel_gap": 0})
+    assert res.status == 0, f"MILP did not end optimal: {res.message}"
+    added = frozenset(e for e, z in zip(missing, res.x) if z > 0.5)
+    after = all_pairs_min_plus(g.add_edges(added))
+    assert all(after[ell, v] == before[ell, v] for ell, v in pairs)
+    assert len(added) == round(-res.fun)
+    return len(added), added
 
 
 def reference_randomized_scan(g: Graph, leaders, pmi, seed: int, repetitions: int):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -15,7 +16,6 @@ from netaug import (
     addable_edge_upper_bound,
     augment_intersection,
     augment_pair,
-    augment_pair_brute_force,
     augment_randomized,
     bfs_distances,
     build_clique_chain,
@@ -36,6 +36,7 @@ from helpers import (
     full_subset_pair_optimum,
     intersection_oracle,
     legal_alone_oracle,
+    optimum_oracle,
     path_graph,
     random_connected_graph,
     reference_randomized_scan,
@@ -177,28 +178,30 @@ class TestAugmentPair:
 
     def test_node_unreachable_from_pair(self):
         for g, b in ((Graph(4, [(0, 1), (1, 2)]), 2), (Graph(3, [(0, 1)]), 1)):
-            for solve in (augment_pair, augment_pair_brute_force, classify_fixed_nodes,
-                          level_partition):
+            for solve in (augment_pair, classify_fixed_nodes, level_partition):
                 with pytest.raises(DisconnectedGraphError, match="node 2|node 3"):
                     solve(g, 0, b)
 
 
 class TestBruteForce:
+    """``augment_pair`` against exact single-pair optima: the MILP
+    ``optimum_oracle`` and, on tiny graphs, the full-subset scan."""
+
+    @staticmethod
+    def chain_size(g, a, b):
+        """Edges after ``augment_pair``, once its additions match the optimum."""
+        res = augment_pair(g, a, b)
+        assert len(res.added) == optimum_oracle(g, [(a, b)])[0]
+        return len(res.edges_after)
+
     def test_star_leaf_pair(self):
-        size, edges = augment_pair_brute_force(star_with_leaf_pair(), 0, 1)
-        assert size == 9
+        assert self.chain_size(star_with_leaf_pair(), 0, 1) == 9
 
     def test_cycle_antipodal(self):
-        size, _ = augment_pair_brute_force(cycle_graph(4), 0, 2)
-        assert size == 5
+        assert self.chain_size(cycle_graph(4), 0, 2) == 5
 
     def test_path(self):
-        size, _ = augment_pair_brute_force(path_graph(4), 0, 3)
-        assert size == 3
-
-    def test_guard(self):
-        with pytest.raises(SizeGuardError):
-            augment_pair_brute_force(path_graph(9), 0, 8)
+        assert self.chain_size(path_graph(4), 0, 3) == 3
 
     def test_matches_full_subset_oracle(self):
         checked = 0
@@ -210,8 +213,7 @@ class TestBruteForce:
             b = max(range(6), key=lambda v: dist[v])
             if dist[b] < 2:
                 continue
-            size, _ = augment_pair_brute_force(g, 0, b)
-            assert size == full_subset_pair_optimum(g, 0, b)
+            assert self.chain_size(g, 0, b) == full_subset_pair_optimum(g, 0, b)
             checked += 1
         assert checked >= 5
 
@@ -220,8 +222,9 @@ class TestBruteForce:
             g = random_connected_graph(7, 0.35, seed=seed + 500)
             dist = bfs_distances(g, 0)
             b = max(range(7), key=lambda v: dist[v])
-            size, _ = augment_pair_brute_force(g, 0, b)
-            assert size >= len(augment_pair(g, 0, b).edges_after)
+            res = augment_pair(g, 0, b)
+            assert all_pairs_min_plus(Graph(7, res.edges_after))[0, b] == dist[b]
+            assert optimum_oracle(g, [(0, b)])[0] == len(res.added)
 
     def test_optimum_is_chain_over_its_own_levels(self):
         for seed in range(10):
@@ -231,14 +234,15 @@ class TestBruteForce:
             k = dist[b]
             if k < 2:
                 continue
-            _, edges = augment_pair_brute_force(g, 0, b)
-            best = Graph(6, edges)
+            size, added = optimum_oracle(g, [(0, b)])
+            assert size == len(augment_pair(g, 0, b).added)
+            best = g.add_edges(added)
             da, db = bfs_distances(best, 0), bfs_distances(best, b)
             assert all(da[v] + db[v] == k for v in range(6))
             levels = [tuple(sorted(v for v in range(6) if da[v] == i)) for i in range(k + 1)]
             chain = build_clique_chain(level_partition(best, 0, b))
             assert level_partition(best, 0, b) == tuple(levels)
-            assert chain == edges
+            assert chain == best.edges
 
 
 def pmi_setup(g, leaders):
@@ -276,6 +280,33 @@ class TestSinglePairProperty:
         assert sorted(v for level in levels for v in level) == list(range(g.n))
         for depth, level in enumerate(levels):
             assert all(depth == dist[a, v] for v in level if fixed[v])
+
+
+class TestAgainstOptimum:
+    @settings(max_examples=100, deadline=None)
+    @given(scan_instances(), st.integers(0, 2**32 - 1), st.data())
+    def test_augmenters_within_the_optimum(self, instance, seed, data):
+        g, leaders, seq = instance
+        pairs = [(ell, v) for ell in leaders for v in seq.nodes() if ell != v]
+        opt, _ = optimum_oracle(g, pairs)
+        assert len(augment_intersection(g, leaders, seq).added) <= opt
+        rand = augment_randomized(g, leaders, seq, seed=seed, repetitions=2)
+        assert len(rand.added) <= opt <= rand.upper_bound_addable
+        a, b = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        chain = augment_pair(g, a, b)
+        assert chain.edges_after == intersection_oracle(g, [(a, b)])
+        assert len(chain.added) <= optimum_oracle(g, [(a, b)])[0]
+
+    def test_level_rule_can_miss_the_pair_optimum(self):
+        # Path 0-2-3-4-5-1 with the tail 1-6-7-8. The level rule puts 6, 7
+        # and 8 on levels 4, 3 and the middle level 2; 8 on level 3 instead
+        # meets one more node, so the chain is one edge short of the optimum.
+        g = Graph(9, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (6, 7), (7, 8)])
+        assert level_partition(g, 0, 1) == ((0,), (2,), (3, 8), (4, 7), (5, 6), (1,))
+        size, added = optimum_oracle(g, [(0, 1)])
+        assert (size, len(augment_pair(g, 0, 1).added)) == (9, 8)
+        best = g.add_edges(added)
+        assert build_clique_chain(level_partition(best, 0, 1)) == best.edges
 
 
 class TestIntersection:
@@ -438,6 +469,20 @@ class TestRandomized:
         g = path_graph(3)
         with pytest.raises(ValueError):
             augment_randomized(g, (0,), pmi_setup(g, (0,)), repetitions=0)
+
+    @pytest.mark.parametrize("name", ["seed", "repetitions"])
+    @pytest.mark.parametrize("value", [True, 2.5], ids=["bool", "fraction"])
+    def test_seed_and_repetitions_must_be_integers(self, name, value):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            augment_randomized(g, (0,), pmi_setup(g, (0,)), **{name: value})
+
+    def test_numpy_integer_arguments_report_python_ints(self):
+        g = star_graph(4)
+        res = augment_randomized(g, (0,), pmi_setup(g, (0,)), seed=np.int64(3),
+                                 repetitions=np.int64(2))
+        assert type(res.seed) is int and type(res.repetitions) is int
+        assert json.loads(json.dumps(res.to_json()))["c"] == 2
 
 
 def path_with_chords(n):

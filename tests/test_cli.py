@@ -272,6 +272,16 @@ class TestExitCodes:
         assert "attachment count must be an integer" in err and "2.5" in err
         assert err.count("\n") == 1
 
+    def test_config_repeated_grid_value_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "records.csv"
+        cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": [0.4, 0.4],
+                                   "leader_counts": [2, 2], "instances": 1}))
+        assert cli(["experiment", "-c", str(cfg), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "parameters repeats the value 0.4" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_flag_of_wrong_type_is_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": [0.5],

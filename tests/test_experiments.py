@@ -99,6 +99,20 @@ class TestConfig:
         assert ExperimentConfig.from_json(dict(data, output_path=None)).output_path is None
         assert ExperimentConfig.from_json(dict(data, output_path="r.csv")).output_path == "r.csv"
 
+    @pytest.mark.parametrize(
+        "model, field, values, repeated",
+        [
+            ("erdos-renyi", "parameters", [0.4, 0.4], "0.4"),
+            ("erdos-renyi", "leader_counts", [2, 3, 2], "2"),
+            ("barabasi-albert", "parameters", [1, 1.0], "1.0"),
+        ],
+    )
+    def test_json_repeated_grid_value_rejected(self, model, field, values, repeated):
+        data = {"model": model, "n": 8, "parameters": [1], "leader_counts": [2]}
+        data[field] = values
+        with pytest.raises(ValueError, match=f"{field} repeats the value {repeated}$"):
+            ExperimentConfig.from_json(data)
+
     def test_json_integral_float_count_accepted(self):
         config = ExperimentConfig.from_json(
             {"model": "erdos-renyi", "n": 8.0, "parameters": [0.4], "leader_counts": [2]}
@@ -128,6 +142,18 @@ class TestRunExperiment:
             assert rec.edges_after_randomized == 45
             assert rec.upper_bound == 0
         assert aggregates[0].mean_edges_before == 45
+
+    def test_aggregate_means_every_record_column(self):
+        config = small_config(parameters=(0.3, 0.6), instances=3)
+        records, aggregates = run_experiment(config)
+        assert [(a.parameter, a.trials) for a in aggregates] == [(0.3, 3), (0.6, 3)]
+        columns = [f.name for f in dataclasses.fields(aggregates[0]) if f.name.startswith("mean_")]
+        assert len(columns) == 8
+        for agg in aggregates:
+            cell = [r for r in records if r.parameter == agg.parameter]
+            for column in columns:
+                values = [getattr(r, column.removeprefix("mean_")) for r in cell]
+                assert getattr(agg, column) == pytest.approx(sum(values) / len(values))
 
     def test_row_count_matches_grid(self):
         config = small_config(parameters=(0.4, 0.6), leader_counts=(1, 3), instances=2)
