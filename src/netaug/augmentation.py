@@ -37,6 +37,7 @@ from .graphs import (
     Graph,
     _checked_distances,
     _guard_dense,
+    _integer,
     _missing_pairs,
 )
 
@@ -89,6 +90,7 @@ class AugmentationResult:
 def _pair_distances(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Distance arrays from both ends of the pair and the pair distance;
     every node must be reachable from the pair."""
+    a, b = _integer(a, "node"), _integer(b, "node")
     if a == b:
         raise ValueError(f"pair nodes must differ, got ({a},{b})")
     for node in (a, b):
@@ -330,12 +332,7 @@ def augment_randomized(
     ``seed`` and ``repetitions`` must be integers, ``repetitions`` >= 1
     (``ValueError`` otherwise).
     """
-    for name, value in (("seed", seed), ("repetitions", repetitions)):
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    seed, repetitions = int(seed), int(repetitions)
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    seed, repetitions = _integer(seed, "seed"), _integer(repetitions, "repetitions", 1)
     start = time.perf_counter()
     pairs, base_dist = _instance(g, leaders, pmi)
     base_legal, lo, hi, at, span, need = _legal_alone(g, pairs, base_dist)

@@ -10,22 +10,21 @@ controllability-matrix ranks taken exactly modulo a prime.
 All PMI routines rest on one suffix-minimum rule: a vector may precede a
 suffix iff one of its coordinates is strictly below the suffix's
 componentwise minimum, and the first such coordinate is its witness.
-``is_pmi`` is one backward pass over suffix minima, ``pmi_exact`` carries the
-minimum down its search, and ``pmi_greedy`` is one pass over the vectors
-sorted by their smallest entry.
+``is_pmi`` is one backward pass over suffix minima, ``pmi_exact`` memoizes its
+search on the minimum, and ``pmi_greedy`` is one pass over the vectors sorted
+by their smallest entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from operator import gt, lt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, SizeGuardError
-from .graphs import Graph, _checked_distances, _edge_arrays, _json_int, is_connected, laplacian
+from .graphs import Graph, _checked_distances, _edge_arrays, _integer, _json_int, is_connected, laplacian
 
 __all__ = [
     "DistanceVector",
@@ -42,8 +41,9 @@ __all__ = [
     "kirchhoff_index",
 ]
 
-#: Exhaustive PMI search refuses instances with more distinct vectors than this.
-PMI_EXACT_GUARD = 20
+#: ``pmi_exact`` refuses a search whose reachable suffix minima times distinct vectors
+#: pass this: the worst case of the former chosen-set search, 2**20 sets x 20 vectors.
+PMI_EXACT_GUARD = 20 * 2**20
 
 #: Ranks are exact modulo this prime; below 2**31, a product of two residues fits in int64.
 _PRIME = 2_147_483_629
@@ -111,7 +111,7 @@ class PMICheck:
 
 
 def _check_leaders(g: Graph, leaders: Sequence[int]) -> tuple[int, ...]:
-    leaders = tuple(leaders)
+    leaders = tuple(_integer(ell, "leader") for ell in leaders)
     if not leaders:
         raise ValueError("at least one leader is required")
     if len(set(leaders)) != len(leaders):
@@ -174,48 +174,45 @@ def _distinct_vectors(g: Graph, leaders: Sequence[int]) -> dict[tuple[int, ...],
 
 
 def pmi_exact(g: Graph, leaders: Sequence[int]) -> PMISequence:
-    """Longest PMI sequence by exhaustive search; certificate-quality but small-only.
+    """Longest PMI sequence by exact search, built back to front.
 
-    Vectors are selected back to front: a vector may precede a chosen suffix
-    iff some coordinate is strictly below the suffix's componentwise minimum,
-    and the first such coordinate is its witness. Memoized on the chosen set;
-    refuses instances with more than ``PMI_EXACT_GUARD`` distinct vectors (use
-    ``pmi_greedy`` there).
+    A vector may precede a chosen suffix iff some coordinate is strictly below
+    the suffix's componentwise minimum (the first such is its witness). A chosen
+    vector is never below it again, so the memo is keyed on the minimum: it holds
+    the longest continuation and the first vector in sorted order that starts one.
+    The work, reachable minima times distinct vectors, is guarded by
+    ``PMI_EXACT_GUARD`` (``SizeGuardError``; use ``pmi_greedy`` there).
     """
+    leaders = _check_leaders(g, leaders)
     rep = _distinct_vectors(g, leaders)
-    if len(rep) > PMI_EXACT_GUARD:
-        raise SizeGuardError(
-            f"{len(rep)} distinct vectors exceed the exhaustive guard "
-            f"({PMI_EXACT_GUARD}); use pmi_greedy"
-        )
     vectors = sorted(rep)
-    bits = PMI_EXACT_GUARD.bit_length()
-    # Chosen-set bitmask -> (longest continuation << bits) | index of the first
-    # vector that starts one; one int per state keeps the memo small.
-    memo: dict[int, int] = {}
 
-    def best(used: int, mins: tuple) -> int:
-        if used in memo:
-            return memo[used]
-        out = 0
-        for idx, vec in enumerate(vectors):
-            if not used >> idx & 1 and any(map(lt, vec, mins)):
-                length = (best(used | 1 << idx, tuple(map(min, vec, mins))) >> bits) + 1
-                if length > out >> bits:
-                    out = length << bits | idx
-        memo[used] = out
-        return out
+    def steps(mins: tuple) -> Iterator[tuple[tuple, tuple]]:
+        """Each vector that may precede ``mins``, with the minimum it makes."""
+        return ((vec, tuple(map(min, vec, mins))) for vec in vectors if any(map(lt, vec, mins)))
 
-    # Follow the memo from the empty suffix, last element first.
-    used, mins = 0, (float("inf"),) * len(tuple(leaders))
-    chosen: list[DistanceVector] = []
-    witnesses: list[int] = []
-    while best(used, mins):
-        idx = memo[used] & ((1 << bits) - 1)
-        vec = vectors[idx]
+    top = (g.n,) * len(leaders)  # above every distance: the empty suffix
+    memo = {top: (0, None)}  # minimum -> (longest continuation, first vector starting one)
+    stack = [top]
+    while stack:
+        if len(memo) * len(vectors) > PMI_EXACT_GUARD:
+            raise SizeGuardError(
+                f"the exact PMI search passed {PMI_EXACT_GUARD} steps (reachable minima x "
+                f"{len(vectors)} distinct vectors); use pmi_greedy"
+            )
+        for _, child in steps(stack.pop()):
+            if child not in memo:
+                memo[child] = (0, None)
+                stack.append(child)
+    for mins in sorted(memo, key=sum):  # a step lowers the sum, so children come first
+        for vec, child in steps(mins):
+            if memo[child][0] >= memo[mins][0]:  # strictly longer: the first best vector stays
+                memo[mins] = (memo[child][0] + 1, vec)
+    mins, chosen, witnesses = top, [], []
+    while memo[mins][0]:
+        vec = memo[mins][1]
         chosen.append(DistanceVector(rep[vec], vec))
-        witnesses.append(_witness(vec, mins))  # type: ignore[arg-type]
-        used |= 1 << idx
+        witnesses.append(_witness(vec, mins))
         mins = tuple(map(min, vec, mins))
     return PMISequence(tuple(reversed(chosen)), tuple(reversed(witnesses)))
 
@@ -232,8 +229,9 @@ def pmi_greedy(g: Graph, leaders: Sequence[int]) -> PMISequence:
     and the picks come in key order: one pass over the vectors sorted by key
     takes each one that is eligible when reached.
     """
+    leaders = _check_leaders(g, leaders)
     rep = _distinct_vectors(g, leaders)
-    thresholds = [-1] * len(tuple(leaders))
+    thresholds = [-1] * len(leaders)
     keyed = [(min(vec), vec.index(min(vec)), node, vec) for vec, node in rep.items()]
     chosen: list[DistanceVector] = []
     witnesses: list[int] = []
@@ -476,15 +474,11 @@ def validate_ssc_bound(
     second prime. ``bound`` and ``trials`` must be integers >= 1 (``ValueError``
     otherwise). The graph must be connected, with at most ``DENSE_NODE_GUARD`` nodes.
     """
-    leaders = _check_leaders(g, leaders)
-    for name, value in (("claimed bound", bound), ("trials", trials)):
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    leaders, seed = _check_leaders(g, leaders), _integer(seed, "seed")
+    bound, trials = _integer(bound, "claimed bound", 1), _integer(trials, "trials", 1)
     if not is_connected(g):
         raise DisconnectedGraphError("rank validation needs a connected graph")
-    bound, trials, n = int(bound), int(trials), g.n
+    n = g.n
     inputs = input_matrix(n, leaders).T.astype(np.int64)
     u, v = _edge_arrays(g)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -302,14 +303,20 @@ def laplacian(n: int, u, v, weights) -> np.ndarray:
     return lap
 
 
+def _integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int, NumPy integers included; ``ValueError`` naming
+    ``name`` for a bool, a non-integral value or one below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def _json_int(value, name: str) -> int:
     """``value`` as an int when it is an integral JSON number; ``ValueError``
     naming ``name`` for a bool, a fraction or any other type."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return _integer(int(value) if isinstance(value, float) and value.is_integer() else value, name)
 
 
 def parse_edge_list(text: str) -> Graph:

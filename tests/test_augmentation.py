@@ -165,6 +165,11 @@ class TestAugmentPair:
             res = augment_pair(g, 0, 7)
             assert len(res.added) <= res.upper_bound_addable
 
+    @pytest.mark.parametrize("node", [0.5, True], ids=["fraction", "bool"])
+    def test_pair_nodes_must_be_integers(self, node):
+        with pytest.raises(ValueError, match=f"node must be an integer, got {node!r}"):
+            augment_pair(path_graph(4), node, 3)
+
     def test_unreachable_pair(self):
         with pytest.raises(DisconnectedGraphError):
             augment_pair(Graph(4, [(0, 1), (2, 3)]), 0, 3)

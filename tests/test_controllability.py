@@ -4,7 +4,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netaug import (
@@ -110,9 +110,25 @@ class TestPMIExact:
         assert len(seq) == 3
         assert is_pmi(seq.raw_vectors()).ok
 
-    def test_guard(self):
-        with pytest.raises(SizeGuardError):
+    def test_guard_counts_search_work(self, monkeypatch):
+        # P22 with an end leader: 22 distinct vectors and 23 reachable minima
+        # (the empty suffix's and one per vector), so the search does 23 x 22 steps.
+        monkeypatch.setattr(controllability, "PMI_EXACT_GUARD", 23 * 22)
+        assert len(pmi_exact(path_graph(22), (0,))) == 22
+        monkeypatch.setattr(controllability, "PMI_EXACT_GUARD", 23 * 22 - 1)
+        with pytest.raises(SizeGuardError, match="pmi_greedy"):
             pmi_exact(path_graph(22), (0,))
+
+    def test_long_path_needs_no_recursion(self):
+        # Deeper than the interpreter's recursion limit, and far past the
+        # 20-vector refusal of a search memoized on the chosen set.
+        seq = pmi_exact(path_graph(1100), (0,))
+        assert seq.nodes() == tuple(range(1100))
+        assert is_pmi(seq.raw_vectors()).ok
+
+    def test_iterator_leaders_match_tuple(self):
+        g = cycle_graph(6)
+        assert pmi_exact(g, iter([0, 4])) == pmi_exact(g, (0, 4))
 
     def test_first_optimal_vector_kept_at_each_step(self):
         # Built back to front; at each step the smallest vector (in sorted
@@ -165,6 +181,19 @@ class TestPMIGreedy:
             g = random_connected_graph(9, 0.35, seed=seed + 100)
             assert len(pmi_exact(g, (2, 6))) == len(pmi_exact(g, (6, 2)))
 
+    def test_iterator_leaders_match_tuple(self):
+        g = cycle_graph(6)
+        assert pmi_greedy(g, iter([0, 4])) == pmi_greedy(g, (0, 4))
+
+    @pytest.mark.parametrize("leader", [0.5, True, "0"])
+    def test_leaders_must_be_integers(self, leader):
+        with pytest.raises(ValueError, match=f"leader must be an integer, got {leader!r}"):
+            pmi_greedy(path_graph(3), (leader,))
+
+    def test_numpy_integer_leaders_stored_as_int(self):
+        leaders = controllability._check_leaders(path_graph(3), np.array([2, 0]))
+        assert leaders == (2, 0) and all(type(ell) is int for ell in leaders)
+
     def test_json_round_trip(self):
         seq = pmi_greedy(path_graph(4), (0, 3))
         assert PMISequence.from_json(seq.to_json()) == seq
@@ -214,6 +243,16 @@ class TestPMIOracleProperties:
         picks = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n + 2))
         run = [vectors[v] for v in picks]
         assert is_pmi(run) == is_pmi_oracle(run)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pmi_instances())
+    def test_exact_length_matches_brute_force(self, instance):
+        g, leaders = instance
+        distinct = {dv.dist for dv in distance_to_leader_vectors(g, leaders)}
+        assume(len(distinct) <= 7)
+        seq = pmi_exact(g, leaders)
+        assert len(seq) == brute_pmi_length(distinct)
+        assert is_pmi_oracle(seq.raw_vectors()).ok
 
     @settings(max_examples=60, deadline=None)
     @given(pmi_instances())
@@ -391,6 +430,11 @@ class TestValidateBound:
         report = validate_ssc_bound(path_graph(3), (0,), bound=np.int64(3), trials=2)
         assert report.passed and type(report.claimed_bound) is int
         assert json.loads(json.dumps(report.to_json()))["claimed_bound"] == 3
+
+    @pytest.mark.parametrize("seed", [True, 2.5])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            validate_ssc_bound(path_graph(3), (0,), bound=3, trials=2, seed=seed)
 
     def test_numpy_integer_trials_report_a_python_int(self):
         report = validate_ssc_bound(path_graph(3), (0,), bound=3, trials=np.int64(2))
