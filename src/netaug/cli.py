@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+from itertools import chain
 
 from .augmentation import augment_intersection, augment_randomized
 from .controllability import PMISequence, pmi_exact, pmi_greedy, validate_ssc_bound
@@ -86,16 +88,22 @@ def _cmd_pmi(args) -> int:
     return 0
 
 
+#: One added edge as ``json.dumps(indent=2)`` lays it out inside the result.
+_EDGE_ITEM = "    [\n      %d,\n      %d\n    ]"
+
+
 def _augment_json(result, include_runtime: bool) -> str:
     """``json.dumps(result.to_json(include_runtime), indent=2)`` and a newline.
 
     The generic encoder takes tens of milliseconds on an edge list of ~17k
-    pairs; one join renders the list in its layout, spliced into the rest.
+    pairs. The rest of the result is encoded with no edges; the sorted edges
+    are rendered by one ``%`` over a repeated template and spliced in.
     """
-    data = result.to_json(include_runtime)
-    text = json.dumps({**data, "added_edges": []}, indent=2)
-    if data["added_edges"]:
-        body = ",\n".join(f"    [\n      {u},\n      {v}\n    ]" for u, v in data["added_edges"])
+    data = dataclasses.replace(result, added=frozenset()).to_json(include_runtime)
+    text = json.dumps(data, indent=2)
+    if result.added:
+        edges = sorted(result.added)
+        body = ",\n".join([_EDGE_ITEM] * len(edges)) % tuple(chain.from_iterable(edges))
         text = text.replace('"added_edges": []', f'"added_edges": [\n{body}\n  ]', 1)
     return text + "\n"
 
@@ -141,7 +149,9 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(
         prog="netaug",
         description="Densify networks while preserving a distance-based controllability bound.",

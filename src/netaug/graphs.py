@@ -40,9 +40,10 @@ __all__ = [
     "DENSE_NODE_GUARD",
 ]
 
-#: Routines that hold all n(n-1)/2 node pairs, as Python tuples (~50-100 bytes
-#: each, ~1 GB at this size) or as dense n x n arrays, refuse graphs with more
-#: nodes than this.
+#: Routines that hold all n(n-1)/2 node pairs refuse graphs with more nodes
+#: than this. ``complement_edges`` holds them as Python tuples (~50-100 bytes
+#: each, ~1 GB at this size); the rest hold NumPy arrays: one double per pair
+#: in ``erdos_renyi`` (~67 MB), dense n x n masks and matrices elsewhere.
 DENSE_NODE_GUARD = 4096
 
 
@@ -74,16 +75,20 @@ class Graph:
         if n <= 0:
             raise ValueError(f"node count must be positive, got {n}")
         self.n = n
-        adj: list[set[int]] = [set() for _ in range(n)]
         edge_set: set[Edge] = set()
+        add = edge_set.add
+        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if 0 <= u < v < n:
+                add((u, v))
+            elif 0 <= v < u < n:
+                add((v, u))
+            elif 0 <= u < n and 0 <= v < n:
+                raise ValueError(f"self-loop on node {u} is not allowed")
+            else:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            e = canonical_edge(u, v)
-            if e not in edge_set:
-                edge_set.add(e)
-                adj[u].add(v)
-                adj[v].add(u)
+            adj[u].add(v)
+            adj[v].add(u)
         self.adjacency = adj
         self.edges = frozenset(edge_set)
 
@@ -182,6 +187,8 @@ class GenSpec:
 
     ``model`` is ``"erdos-renyi"`` (uses ``p``) or ``"barabasi-albert"``
     (uses ``gamma``). ``seed`` is a 64-bit unsigned integer feeding PCG64.
+    ``n``, ``gamma`` and ``seed`` must be integers (NumPy integers included,
+    bools not); any other value raises ``ValueError``.
     """
 
     model: str
@@ -193,15 +200,15 @@ class GenSpec:
     def __post_init__(self):
         if self.model not in ("erdos-renyi", "barabasi-albert"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.n <= 0:
+        if _integer(self.n, "node count") <= 0:
             raise ValueError(f"node count must be positive, got {self.n}")
-        if not (0 <= self.seed < 2**64):
+        if not (0 <= _integer(self.seed, "seed") < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.model == "erdos-renyi":
             if self.p is None or not (0.0 <= self.p <= 1.0):
                 raise ValueError(f"edge probability must lie in [0, 1], got {self.p}")
         else:
-            if self.gamma is None or not (1 <= self.gamma < self.n):
+            if self.gamma is None or not (1 <= _integer(self.gamma, "attachment count") < self.n):
                 raise ValueError(
                     f"attachment count must satisfy 1 <= gamma < n, got {self.gamma}"
                 )
@@ -210,15 +217,21 @@ class GenSpec:
 def erdos_renyi(spec: GenSpec) -> Graph:
     """G(n, p): each of the n(n-1)/2 pairs kept independently with probability p.
 
-    Guarded to ``n <= DENSE_NODE_GUARD``.
+    Pair ``(u, v)`` is kept when its double from ``rng.random`` is below ``p``;
+    one double is drawn per pair, in ``u < v`` row-major order. Guarded to
+    ``n <= DENSE_NODE_GUARD``.
     """
     if spec.model != "erdos-renyi":
         raise ValueError(f"spec model is {spec.model!r}, expected 'erdos-renyi'")
     _guard_dense(spec.n, "G(n, p)")
+    n = spec.n
     rng = np.random.default_rng(spec.seed)
-    pairs = [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)]
-    draws = rng.random(len(pairs))
-    return Graph(spec.n, [e for e, x in zip(pairs, draws) if x < spec.p])
+    kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < spec.p)
+    # Row u holds the pairs (u, u+1..n-1) and ends before ends[u].
+    ends = np.cumsum(np.arange(n - 1, -1, -1))
+    u = ends.searchsorted(kept, side="right")
+    v = kept + n - ends[u]
+    return Graph(n, zip(u.tolist(), v.tolist()))
 
 
 def barabasi_albert(spec: GenSpec) -> Graph:
@@ -227,7 +240,9 @@ def barabasi_albert(spec: GenSpec) -> Graph:
     Each new node attaches to ``gamma`` distinct existing nodes, drawn one at
     a time proportionally to current degree (uniformly while all degrees are
     zero). The edge count is therefore always
-    ``gamma*(gamma-1)/2 + (n-gamma)*gamma``.
+    ``gamma*(gamma-1)/2 + (n-gamma)*gamma``. Each pick reads one double from
+    ``rng.random`` against the cumulative weights, as ``rng.choice`` with
+    ``p`` does, or one ``rng.integers`` draw while all weights are zero.
     """
     if spec.model != "barabasi-albert":
         raise ValueError(f"spec model is {spec.model!r}, expected 'barabasi-albert'")
@@ -248,8 +263,10 @@ def barabasi_albert(spec: GenSpec) -> Graph:
                 candidates = [u for u in range(new) if u not in targets]
                 pick = int(rng.integers(0, len(candidates)))
                 chosen = candidates[pick]
-            else:
-                chosen = int(rng.choice(new, p=weights / total))
+            else:  # rng.choice(new, p=weights / total) without its argument checks
+                cdf = (weights / total).cumsum()
+                cdf /= cdf[-1]
+                chosen = int(cdf.searchsorted(rng.random(), side="right"))
             targets.add(chosen)
         for t in sorted(targets):
             edges.append((t, new))

@@ -4,8 +4,9 @@ The oracles here deliberately take different routes than the library code
 (forward enumeration vs backward memo search, per-pick rescans vs one
 sorted pass, per-coordinate scans vs suffix minima, a MILP optimum vs clique
 chains and greedy scans, pseudo-inverse resistances vs eigenvalue sums,
-rational elimination vs modular Krylov blocks) so they can catch bugs in the
-implementations they check.
+rational elimination vs modular Krylov blocks, Python pair lists and
+``rng.choice`` vs array draws) so they can catch bugs in the implementations
+they check.
 """
 
 from __future__ import annotations
@@ -25,6 +26,43 @@ from netaug import (
     erdos_renyi,
     is_connected,
 )
+
+
+def reference_erdos_renyi(spec: GenSpec) -> Graph:
+    """G(n, p) by a Python list of all pairs, u < v row by row, zipped with
+    one ``rng.random`` draw each."""
+    rng = np.random.default_rng(spec.seed)
+    pairs = [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)]
+    draws = rng.random(len(pairs))
+    return Graph(spec.n, [e for e, x in zip(pairs, draws) if x < spec.p])
+
+
+def reference_barabasi_albert(spec: GenSpec) -> Graph:
+    """Preferential attachment with ``rng.choice`` doing each weighted pick,
+    and ``rng.integers`` over the unchosen nodes while all weights are zero."""
+    gamma = spec.gamma
+    rng = np.random.default_rng(spec.seed)
+    edges = [(u, v) for u in range(gamma) for v in range(u + 1, gamma)]
+    degree = np.zeros(spec.n, dtype=float)
+    degree[:gamma] = gamma - 1
+    for new in range(gamma, spec.n):
+        targets: set[int] = set()
+        while len(targets) < gamma:
+            weights = degree[:new].copy()
+            for t in targets:
+                weights[t] = 0.0
+            total = weights.sum()
+            if total == 0.0:
+                candidates = [u for u in range(new) if u not in targets]
+                chosen = candidates[int(rng.integers(0, len(candidates)))]
+            else:
+                chosen = int(rng.choice(new, p=weights / total))
+            targets.add(chosen)
+        for t in sorted(targets):
+            edges.append((t, new))
+            degree[t] += 1
+        degree[new] = gamma
+    return Graph(spec.n, edges)
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import netaug
 from netaug import PMISequence, augment_intersection, augment_randomized, parse_edge_list, pmi_greedy
-from netaug.cli import _augment_json, cli
+from netaug.cli import _augment_json, _build_parser, cli
 from helpers import complete_graph, random_connected_graph
 
 
@@ -51,6 +51,19 @@ class TestGen:
     def test_missing_p_is_domain_error(self, tmp_path):
         code = cli(["gen", "--model", "er", "--n", "5", "-o", str(tmp_path / "x.txt")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--model", "er", "--n", "0", "--p", "0.5"], "node count must be positive"),
+            (["--model", "er", "--n", "5", "--p", "0.5", "--seed", "-1"], "64-bit unsigned"),
+            (["--model", "ba", "--n", "5", "--gamma", "5"], "1 <= gamma < n"),
+        ],
+    )
+    def test_bad_value_is_domain_error(self, flags, message, capsys):
+        assert cli(["gen", *flags]) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
 
 
 class TestPMI:
@@ -194,6 +207,21 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert cli(["--help"]) == 0
+
+    def test_one_parser_serves_every_call(self, path3, tmp_path, capsys):
+        parser = _build_parser()
+        seeded, default = tmp_path / "seeded.txt", tmp_path / "default.txt"
+        gen = ["gen", "--model", "er", "--n", "12", "--p", "0.5"]
+        assert cli(gen + ["--seed", "5", "-o", str(seeded)]) == 0
+        assert cli(["pmi", "-g", path3, "--leaders", "0"]) == 0
+        assert cli(["pmi", "-g", path3, "--leaders", "9"]) == 1
+        assert cli(gen + ["--bogus"]) == 2
+        assert cli(gen + ["-o", str(default)]) == 0
+        capsys.readouterr()
+        # An earlier call's values do not stick: the second gen uses seed 0.
+        assert cli(gen + ["--seed", "0"]) == 0
+        assert capsys.readouterr().out == default.read_text() != seeded.read_text()
+        assert _build_parser() is parser
 
     def test_domain_error_disconnected(self, tmp_path):
         path = tmp_path / "two.txt"

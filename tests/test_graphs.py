@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +14,19 @@ from netaug import (
     bfs_distances,
     complement_edges,
     erdos_renyi,
+    generate,
     laplacian,
     parse_edge_list,
     write_edge_list,
 )
 from netaug.graphs import DENSE_NODE_GUARD, _edge_arrays, _missing_pairs
-from helpers import all_pairs_min_plus, path_graph, complete_graph
+from helpers import (
+    all_pairs_min_plus,
+    complete_graph,
+    path_graph,
+    reference_barabasi_albert,
+    reference_erdos_renyi,
+)
 
 
 class TestGraphConstruction:
@@ -32,6 +41,23 @@ class TestGraphConstruction:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             Graph(0)
+
+    @pytest.mark.parametrize(
+        "edges, match",
+        [
+            ([(0, 3), (1, 1)], "edge \\(0,3\\) out of range"),
+            ([(1, 1), (0, 3)], "self-loop on node 1"),
+            ([(3, 3)], "edge \\(3,3\\) out of range"),
+            ([(0, 1), (2, -1)], "edge \\(2,-1\\) out of range"),
+        ],
+    )
+    def test_first_bad_edge_decides_and_range_comes_first(self, edges, match):
+        with pytest.raises(ValueError, match=match):
+            Graph(3, edges)
+
+    def test_numpy_integer_endpoints(self):
+        g = Graph(3, [(np.int64(2), np.int64(1)), (1, 2)])
+        assert g.edges == {(1, 2)} and g.adjacency == [set(), {2}, {1}]
 
     def test_reversed_duplicates_collapse(self):
         g = Graph(3, [(0, 1), (1, 0)])
@@ -147,6 +173,85 @@ class TestErdosRenyi:
         spec = GenSpec(model="erdos-renyi", n=DENSE_NODE_GUARD + 1, p=0.1, seed=0)
         with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
             erdos_renyi(spec)
+
+
+class TestGenSpec:
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            (dict(model="erdos-renyi", n=10.0, p=0.1), "node count"),
+            (dict(model="erdos-renyi", n=True, p=0.1), "node count"),
+            (dict(model="erdos-renyi", n=10, p=0.1, seed=1.5), "seed"),
+            (dict(model="erdos-renyi", n=10, p=0.1, seed=True), "seed"),
+            (dict(model="barabasi-albert", n=10, gamma=2.5), "attachment count"),
+            (dict(model="barabasi-albert", n=10, gamma=True), "attachment count"),
+        ],
+        ids=["float-n", "bool-n", "float-seed", "bool-seed", "float-gamma", "bool-gamma"],
+    )
+    def test_non_integer_fields_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GenSpec(**fields)
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = GenSpec(model="barabasi-albert", n=np.int64(12), gamma=np.int32(3),
+                       seed=np.uint64(2**64 - 1))
+        plain = GenSpec(model="barabasi-albert", n=12, gamma=3, seed=2**64 - 1)
+        assert generate(spec) == generate(plain)
+
+
+#: The pinned specs, by label; each runs at the seeds in GENERATOR_DIGESTS.
+DIGEST_SPECS = {
+    "er": dict(model="erdos-renyi", n=200, p=10 / 199),
+    "ba1": dict(model="barabasi-albert", n=100, gamma=1),
+    "ba2": dict(model="barabasi-albert", n=100, gamma=2),
+}
+
+#: sha256 of ``write_edge_list(generate(spec))``, recorded with the pair-list
+#: and ``rng.choice`` generators that ``reference_erdos_renyi`` and
+#: ``reference_barabasi_albert`` keep.
+GENERATOR_DIGESTS = {
+    ("er", 0): "aff012ff376884a38b453a924b16e80284322173a1bc245a734ceac1acce146a",
+    ("er", 1): "f735dc28985788afbf3b221c07c50bea3b2fa5c074c5c6cec356e9891cb2338d",
+    ("er", 7): "9f34600ed7916695ad337a802a74bb875379541ad94844671cabc393f0a64f81",
+    ("er", 2**64 - 1): "e4383136821a7b1558510b857c08337b1701a3201b7da99eae7edb1446624415",
+    ("ba1", 0): "b487cf8deed7fddc17f2c919383aa052d947535dfa9d7bbc68a1a74d4753f4b4",
+    ("ba1", 1): "a20b489179cc76f69d2f147c3ecb5e21659d84b2011b01ce0a6a346e709aa0a3",
+    ("ba1", 7): "08416a31db823b6faa2788b78dff4bfb186365cdbc6016ae15454c48c3dbf56f",
+    ("ba1", 2**64 - 1): "6949e1911bf88145e2bb5c4f6b8731386aea4ea0299976abbe0de9118709a7a5",
+    ("ba2", 0): "94657a286608fb6ed42e4e3fa2615ef75dcc151d1a8e8b59f787772099918d25",
+    ("ba2", 1): "b46ac8d37fbd29e98be925c228bcf1a79063d4fe07a924babc9696e4794e046f",
+    ("ba2", 7): "ff961b79980d354b672b32b9e2d77c6451e142b6817ed28e57f94a4e6edb5184",
+    ("ba2", 2**64 - 1): "36576372646034dbed0a3455a619a311364b47bc0088afa122c58de0fa1df039",
+}
+
+
+class TestGeneratorOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+    @example(n=1, p=0.5, seed=0)
+    @example(n=60, p=0.0, seed=2**64 - 1)
+    @example(n=60, p=1.0, seed=2**64 - 1)
+    def test_erdos_renyi_equals_reference(self, n, p, seed):
+        spec = GenSpec(model="erdos-renyi", n=n, p=p, seed=seed)
+        assert generate(spec) == reference_erdos_renyi(spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        st.integers(0, 2**64 - 1),
+    )
+    @example(n_gamma=(2, 1), seed=0)  # every weight is zero at the first pick
+    @example(n_gamma=(60, 1), seed=2**64 - 1)
+    @example(n_gamma=(60, 59), seed=2**64 - 1)  # a complete graph
+    def test_barabasi_albert_equals_reference(self, n_gamma, seed):
+        n, gamma = n_gamma
+        spec = GenSpec(model="barabasi-albert", n=n, gamma=gamma, seed=seed)
+        assert generate(spec) == reference_barabasi_albert(spec)
+
+    @pytest.mark.parametrize("label, seed", list(GENERATOR_DIGESTS))
+    def test_recorded_digests(self, label, seed):
+        text = write_edge_list(generate(GenSpec(**DIGEST_SPECS[label], seed=seed)))
+        assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[label, seed]
 
 
 class TestBarabasiAlbert:
