@@ -328,6 +328,16 @@ def augment_randomized(
       distance to a node falls to ``d``, only the ``l`` term of its
       thresholds rises, so they become the field-wise maximum of the old
       ones and ``max(d(l, v) - 1 - d, 0)``.
+    - Every test compares a distance with a small threshold, so each source
+      keeps ``min(d, cap)``: a monitored node's cap is its largest possible
+      threshold ``max_l d(l, v) - 1``, a leader's the largest monitored
+      distance less one, past which its thresholds stay 0 (a monitored
+      leader takes the larger). ``t = min(d, cap)`` obeys ``t(z) = min(cap,
+      min over neighbours u of t(u) + 1)``, so the same relaxation keeps it
+      exact. The fields are sized from the largest cap, not from n, and a
+      node lowered to ``cap - 1`` or more lowers no neighbour, so its walk
+      is skipped; the adjacency sets are built, and brought up to date with
+      the accepted edges, only when a walk needs them.
 
     ``seed`` and ``repetitions`` must be integers, ``repetitions`` >= 1
     (``ValueError`` otherwise).
@@ -338,11 +348,24 @@ def augment_randomized(
     base_legal, lo, hi, at, span, need = _legal_alone(g, pairs, base_dist)
     m, lead = need.shape[1], at.shape[1] - span.shape[1]
 
+    # The scan keeps min(d, cap) per source: no test tells apart distances
+    # at or above the cap. Monitored node j: need_j <= max_k span[j, k].
+    # Leader k: span[j, k] - d is <= 0 once d >= max_j span[j, k].
+    cap = np.zeros(at.shape[1], dtype=np.intp)
+    cap[:m] = span.max(axis=1, initial=0)
+    cap[lead:] = np.maximum(cap[lead:], span.max(axis=0, initial=0))
+    at = np.minimum(at, cap)
+    caps = cap.tolist()
+
     # Field i of a packed int spans bits [i*w, i*w + w): a value below
-    # ``guard`` plus, for distances, the guard bit itself. Subtracting values
-    # below ``guard`` field by field then never borrows across fields, and a
-    # field's guard bit survives iff its difference is non-negative.
-    w = (g.n + 1).bit_length() + 1
+    # ``guard`` plus, for distances, the guard bit itself. With ``cap`` the
+    # largest cap, distances and thresholds lie in [0, cap] and spans in
+    # [-1, cap], so guard + d - need, guard + need - rise and guard + span - d
+    # lie in [guard - cap - 1, guard + cap], and guard +- (d_x - d_y) - 2 in
+    # [guard - cap - 2, guard + cap - 2]. The narrowest w with guard >= cap + 2
+    # keeps all of them in [0, 2 * guard): subtracting never borrows across
+    # fields, and a field's guard bit survives iff its difference is >= 0.
+    w = (max(caps, default=0) + 1).bit_length() + 1
     guard = 1 << (w - 1)
     shifts = [i * w for i in range(at.shape[1])]
     guards = sum(guard << s for s in shifts)
@@ -362,17 +385,15 @@ def augment_randomized(
     best_added: list[Edge] = []
     for rep in range(repetitions):
         perm = np.random.default_rng([seed, rep]).permutation(lo.size)
-        adj = [set(s) for s in g.adjacency]
         packed, need_at = list(base_p), list(base_n)  # P and N of the docstring
         dist = [list(col) for col in base_cols]
         added: list[Edge] = []
+        adj, synced = None, 0  # built on the first walk, then kept up to added[:synced]
         order = perm[base_legal[perm]]
         for x, y in zip(lo[order].tolist(), hi[order].tolist()):
             px, py = packed[x], packed[y]
             if (py - need_at[x]) & (px - need_at[y]) & guards != guards:
                 continue
-            adj[x].add(y)
-            adj[y].add(x)
             added.append((x, y))
             gap = px - py
             far = ((gap + lift) | (lift - gap)) & guards
@@ -386,13 +407,23 @@ def augment_randomized(
                 packed[node] -= (di[node] - d) << shift
                 di[node] = d
                 queue = [node]
-                for u in queue:
-                    d = di[u] + 1
-                    for v in adj[u]:
-                        if d < di[v]:
-                            packed[v] -= (di[v] - d) << shift
-                            di[v] = d
-                            queue.append(v)
+                if d + 1 < caps[i]:
+                    # Only a node below cap - 1 can lower a neighbour.
+                    if adj is None:
+                        adj = [set(s) for s in g.adjacency]
+                    for u, v in added[synced:]:
+                        adj[u].add(v)
+                        adj[v].add(u)
+                    synced = len(added)
+                    for u in queue:
+                        d = di[u] + 1
+                        if d >= caps[i]:
+                            break  # the queue is in BFS order
+                        for v in adj[u]:
+                            if d < di[v]:
+                                packed[v] -= (di[v] - d) << shift
+                                di[v] = d
+                                queue.append(v)
                 if i >= lead:
                     # Leader i came closer to the lowered nodes: raise their
                     # thresholds to the span column at the new distance.
@@ -428,18 +459,18 @@ def success_probability_bound(
     legal edges (an augmenter's ``upper_bound_addable``) and an optimal
     solution of size ``tau``. The exponent is
     rounded up to an integer, which can only lower the bound (conservative).
-    Nondecreasing in ``repetitions``.
+    Nondecreasing in ``repetitions``. The three counts must be integers
+    (``ValueError`` for a bool or a fraction).
     """
-    if total_legal < 1:
-        raise ValueError(f"total_legal must be >= 1, got {total_legal}")
+    total_legal = _integer(total_legal, "total_legal", 1)
+    optimal_size = _integer(optimal_size, "optimal_size")
+    repetitions = _integer(repetitions, "repetitions", 0)
     if not (1 <= optimal_size <= total_legal):
         raise ValueError(
             f"optimal_size must satisfy 1 <= tau <= {total_legal}, got {optimal_size}"
         )
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    if repetitions < 0:
-        raise ValueError(f"repetitions must be >= 0, got {repetitions}")
     exponent = math.ceil(ratio * optimal_size - 1e-9)
     base = optimal_size / total_legal
     return 1.0 - math.exp(-repetitions * base**exponent)

@@ -502,11 +502,56 @@ def caterpillar(n):
     return Graph(n, [(i, i + 1) for i in range(s - 1)] + [(2 * i + 1, s + i) for i in range(n - s)])
 
 
+def tented_path(span):
+    """Spine 0..span, two tent nodes joined to both 0 and 1, and a leaf on
+    every fourth spine node from 2 below ``span``: no node lies farther than
+    ``span`` from either end."""
+    s = span + 1
+    leaves = list(range(2, span, 4))
+    edges = [(i, i + 1) for i in range(span)] + [(0, s), (1, s), (0, s + 1), (1, s + 1)]
+    return Graph(s + 2 + len(leaves), edges + [(i, s + 2 + k) for k, i in enumerate(leaves)])
+
+
+def largest_cap(g, leaders, seq):
+    """The largest per-source cap of the scan: the largest monitored distance less one."""
+    return max([bfs_distances(g, ell)[v] - 1 for ell in leaders for v in seq.nodes() if ell != v],
+               default=0)
+
+
 class TestRandomizedFieldBoundaries:
-    """The scan packs each node's distances into fields of
-    ``(n + 1).bit_length() + 1`` bits, so the widths step between n = 6 and 7,
-    14 and 15, 30 and 31. Paths and caterpillars with an end leader put
-    distances near n - 1 into the narrowest field of each width."""
+    """The scan packs each node's capped distances into fields of
+    ``(cap + 1).bit_length() + 1`` bits, ``cap`` being the largest
+    monitored distance less one, so the widths step between caps 0 and 1,
+    2 and 3, 6 and 7, 14 and 15, 30 and 31. A tented path of span cap + 1
+    with end leaders lands on each side of every step, and a star with a
+    centre and a leaf leader needs the whole width. Paths and caterpillars
+    of 6/7, 14/15, 30/31 and 62/63 nodes with an end leader put caps near
+    n - 2 into the fields."""
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 6, 7, 14, 15, 30, 31])
+    def test_cap_sized_width_steps(self, cap):
+        g = tented_path(cap + 1)
+        leaders = (0, cap + 1)
+        seq = pmi_setup(g, leaders)
+        assert largest_cap(g, leaders, seq) == cap
+        for seed in range(2):
+            res = augment_randomized(g, leaders, seq, seed=seed, repetitions=2)
+            expected = reference_randomized_scan(g, leaders, seq, seed=seed, repetitions=2)
+            assert res.edges_after == expected
+            assert len(res.added) > 0
+
+    def test_relaxation_test_needs_a_guard_above_cap_plus_one(self):
+        # Leaders: the centre and a leaf of a star, so the largest cap is 1.
+        # Joining a monitored leaf (capped distance 0 to itself) to another
+        # leaf (capped at 1) needs guard >= 3 in P[x] - P[y] - 2: one bit
+        # narrower than (cap + 1).bit_length() + 1 borrows across fields.
+        g = star_graph(4)
+        seq = pmi_setup(g, (0, 4))
+        assert largest_cap(g, (0, 4), seq) == 1
+        for seed in range(2):
+            res = augment_randomized(g, (0, 4), seq, seed=seed, repetitions=1)
+            assert res.edges_after == reference_randomized_scan(g, (0, 4), seq, seed=seed,
+                                                                repetitions=1)
 
     @pytest.mark.parametrize("n", [6, 7, 14, 15, 30, 31])
     @pytest.mark.parametrize("shape", ["path", "caterpillar"])
@@ -544,6 +589,49 @@ class TestRandomizedFieldBoundaries:
         res = augment_randomized(g, (0,), seq, seed=1, repetitions=2)
         assert len(res.edges_after) == n * (n - 1) // 2
         assert res.edges_after == reference_randomized_scan(g, (0,), seq, seed=1, repetitions=2)
+
+
+class TestRandomizedCaps:
+    """The scan keeps each source's distances capped at the largest value a
+    test reads, and walks neighbours only below the cap."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(12, 24), st.floats(0.2, 0.5), st.integers(0, 10**6), st.data(),
+           st.integers(0, 2**32 - 1), st.integers(1, 2))
+    def test_equals_full_bfs_reference_on_larger_graphs(self, n, p, graph_seed, data, seed,
+                                                        repetitions):
+        g = random_connected_graph(n, p, seed=graph_seed)
+        leaders = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=6,
+                                           unique=True)))
+        seq = pmi_setup(g, leaders)
+        res = augment_randomized(g, leaders, seq, seed=seed, repetitions=repetitions)
+        expected = reference_randomized_scan(g, leaders, seq, seed=seed, repetitions=repetitions)
+        assert res.edges_after == expected
+
+    @pytest.mark.parametrize("n, leader", [(20, 19), (24, 8)])
+    def test_bfs_cascade_below_the_cap(self, n, leader):
+        # One leader on a caterpillar: monitored spine nodes have caps of 7
+        # or more, and a legal edge between far spine nodes or leaves pulls
+        # whole runs of the spine closer to them, one BFS level at a time.
+        g = caterpillar(n)
+        seq = pmi_setup(g, (leader,))
+        assert largest_cap(g, (leader,), seq) >= 7
+        for seed in range(3):
+            res = augment_randomized(g, (leader,), seq, seed=seed, repetitions=2)
+            assert res.edges_after == reference_randomized_scan(g, (leader,), seq, seed=seed,
+                                                                repetitions=2)
+
+    def test_leader_whose_cap_is_zero(self):
+        # Hub 0 joined to 1..6, tail 6-7-8-9. Leader 0 is next to both
+        # monitored nodes, so its cap is 0; leader 9's is 4.
+        g = Graph(10, [(0, v) for v in range(1, 7)] + [(6, 7), (7, 8), (8, 9)])
+        seq = PMISequence((DistanceVector(6, (1, 3)), DistanceVector(1, (1, 5))), (1, 0))
+        assert largest_cap(g, (0, 9), seq) == 4
+        for seed in range(3):
+            res = augment_randomized(g, (0, 9), seq, seed=seed, repetitions=2)
+            assert res.edges_after == reference_randomized_scan(g, (0, 9), seq, seed=seed,
+                                                                repetitions=2)
+            assert res.added
 
 
 class TestUpperBound:
@@ -652,6 +740,15 @@ class TestSuccessProbabilityBound:
         # ratio*tau = 4.5 rounds to 5: probability must use the larger exponent
         loose = 1 - math.exp(-1 * (9 / 10) ** 5)
         assert success_probability_bound(10, 9, 0.5, 1) == pytest.approx(loose)
+
+    @pytest.mark.parametrize("position, name", [(0, "total_legal"), (1, "optimal_size"),
+                                                (3, "repetitions")])
+    @pytest.mark.parametrize("value", [True, 2.5], ids=["bool", "fraction"])
+    def test_counts_must_be_integers(self, position, name, value):
+        args = [10, 5, 0.5, 2]
+        args[position] = value
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            success_probability_bound(*args)
 
 
 class TestResultSerialization:
