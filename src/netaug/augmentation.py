@@ -127,13 +127,6 @@ def _chain_mask(level: np.ndarray) -> np.ndarray:
     return np.abs(level[:, None] - level[None, :]) <= 1
 
 
-def _edges(mask: np.ndarray, nodes: np.ndarray) -> frozenset[Edge]:
-    """The pairs in the upper triangle of ``mask`` as canonical edges over ``nodes``."""
-    i, j = np.nonzero(np.triu(mask, 1))
-    u, w = nodes[i], nodes[j]
-    return frozenset(zip(np.minimum(u, w).tolist(), np.maximum(u, w).tolist()))
-
-
 def level_partition(g: Graph, a: int, b: int) -> tuple[tuple[int, ...], ...]:
     """Split all nodes into the k+1 levels used by the clique-chain construction,
     level 0 being ``(a,)``; every node must be reachable from the pair.
@@ -162,7 +155,9 @@ def build_clique_chain(levels: Sequence[Sequence[int]]) -> frozenset[Edge]:
     if bad.size:
         raise ValueError(f"node {bad[0]} is negative or repeated in the levels")
     sizes = [len(level) for level in levels]
-    return _edges(_chain_mask(np.repeat(np.arange(len(sizes)), sizes)), nodes)
+    i, j = np.nonzero(np.triu(_chain_mask(np.repeat(np.arange(len(sizes)), sizes)), 1))
+    u, w = nodes[i], nodes[j]
+    return frozenset(zip(np.minimum(u, w).tolist(), np.maximum(u, w).tolist()))
 
 
 def _legal_alone(g: Graph, pairs: list[tuple[int, int]], dist: dict[int, np.ndarray]):
@@ -192,6 +187,23 @@ def _legal_alone(g: Graph, pairs: list[tuple[int, int]], dist: dict[int, np.ndar
     return legal, lo, hi, at, span, need
 
 
+def _result(
+    algorithm: str, g: Graph, added, legal: np.ndarray, start: float, **audit
+) -> AugmentationResult:
+    """The ``AugmentationResult`` of adding the edges ``added`` to ``g``;
+    ``legal`` is the ``_legal_alone`` mask and ``start`` the run's start time."""
+    added = frozenset(added)
+    return AugmentationResult(
+        algorithm=algorithm,
+        edges_before=g.edges,
+        edges_after=g.edges | added,
+        added=added,
+        upper_bound_addable=int(legal.sum()),
+        runtime_ms=(time.perf_counter() - start) * 1000.0,
+        **audit,
+    )
+
+
 def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
     """Maximal edge addition preserving the distance between one node pair.
 
@@ -201,15 +213,9 @@ def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
     """
     start = time.perf_counter()
     dist_a, dist_b, k = _pair_distances(g, a, b)
-    edges_after = _edges(_chain_mask(_levels(dist_a, dist_b, k)), np.arange(g.n))
-    return AugmentationResult(
-        algorithm="clique-chain",
-        edges_before=g.edges,
-        edges_after=edges_after,
-        added=frozenset(edges_after - g.edges),
-        upper_bound_addable=int(_legal_alone(g, [(a, b)], {a: dist_a, b: dist_b})[0].sum()),
-        runtime_ms=(time.perf_counter() - start) * 1000.0,
-    )
+    legal, lo, hi = _legal_alone(g, [(a, b)], {a: dist_a, b: dist_b})[:3]
+    keep = _chain_mask(_levels(dist_a, dist_b, k))[lo, hi]
+    return _result("clique-chain", g, zip(lo[keep].tolist(), hi[keep].tolist()), legal, start)
 
 
 def _instance(
@@ -274,19 +280,13 @@ def augment_intersection(
     """
     start = time.perf_counter()
     pairs, dist = _instance(g, leaders, pmi)
+    legal, lo, hi = _legal_alone(g, pairs, dist)[:3]
     keep = np.ones((g.n, g.n), dtype=bool)
     for ell, v in pairs:
         keep &= _chain_mask(_levels(dist[ell], dist[v], dist[ell][v]))
-    edges_after = _edges(keep, np.arange(g.n))
-    return AugmentationResult(
-        algorithm="intersection",
-        edges_before=g.edges,
-        edges_after=edges_after,
-        added=edges_after - g.edges,
-        upper_bound_addable=int(_legal_alone(g, pairs, dist)[0].sum()),
-        pmi_length=len(pmi),
-        runtime_ms=(time.perf_counter() - start) * 1000.0,
-    )
+    keep = keep[lo, hi]
+    added = zip(lo[keep].tolist(), hi[keep].tolist())
+    return _result("intersection", g, added, legal, start, pmi_length=len(pmi))
 
 
 def _value_bits(guard_bits: int, w: int) -> int:
@@ -436,17 +436,9 @@ def augment_randomized(
                             need_at[z] = rise ^ ((need_at[z] ^ rise) & keep)
         if len(added) > len(best_added):
             best_added = added
-    edges_after = frozenset(g.edges | set(best_added))
-    return AugmentationResult(
-        algorithm="randomized",
-        edges_before=g.edges,
-        edges_after=edges_after,
-        added=frozenset(best_added),
-        upper_bound_addable=int(base_legal.sum()),
-        pmi_length=len(pmi),
-        seed=seed,
-        repetitions=repetitions,
-        runtime_ms=(time.perf_counter() - start) * 1000.0,
+    return _result(
+        "randomized", g, best_added, base_legal, start,
+        pmi_length=len(pmi), seed=seed, repetitions=repetitions,
     )
 
 

@@ -143,7 +143,7 @@ def _cmd_experiment(args) -> int:
     if args.time:
         config = dataclasses.replace(config, measure_runtime=True)
     records, aggregates = run_experiment(config)
-    _write_output(records_to_csv(records), args.output or config.output_path)
+    _write_output(records_to_csv(records), args.output)
     if args.aggregates:
         _write_output(aggregates_to_csv(aggregates), args.aggregates)
     return 0
@@ -178,9 +178,10 @@ def _build_parser() -> argparse.ArgumentParser:
     aug.add_argument("-g", "--graph", required=True)
     aug.add_argument("--leaders", type=int, nargs="+", required=True)
     aug.add_argument("--algorithm", choices=("intersect", "random"), default="intersect")
-    aug.add_argument("--pmi-method", choices=("greedy", "exact"), default="greedy")
-    aug.add_argument("--pmi", default=None,
-                     help="load a precomputed PMI sequence (JSON) instead of computing one")
+    pmi_source = aug.add_mutually_exclusive_group()
+    pmi_source.add_argument("--pmi-method", choices=("greedy", "exact"), default="greedy")
+    pmi_source.add_argument("--pmi", default=None,
+                            help="load a precomputed PMI sequence (JSON) instead of computing one")
     aug.add_argument("--seed", type=int, default=0)
     aug.add_argument("-c", "--repetitions", type=int, default=30)
     aug.add_argument("--time", action="store_true", help="report measured runtime")

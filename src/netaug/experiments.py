@@ -13,14 +13,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
+from numbers import Real
 
 import numpy as np
 
 from .augmentation import augment_intersection, augment_randomized
 from .controllability import kirchhoff_index, pmi_greedy
 from .errors import DisconnectedGraphError
-from .graphs import GenSpec, Graph, _json_int, generate, is_connected
+from .graphs import GenSpec, Graph, _integer, _json_int, generate, is_connected
 
 __all__ = [
     "ExperimentConfig",
@@ -43,8 +44,10 @@ class ExperimentConfig:
     ``parameters`` holds edge probabilities for the Erdos-Renyi model or
     attachment counts for Barabasi-Albert. Neither grid may repeat a value as
     a number (``1`` and ``1.0`` are one cell), which would rerun the same
-    trials. Defaults are desk scale; the full-scale study in the CLI
-    (``--full``) bumps ``instances`` to 100 and ``repetitions`` to 150.
+    trials. Every setting is checked at construction, the grid values by the
+    ``GenSpec`` each trial draws from; any bad value raises ``ValueError``.
+    Defaults are desk scale; the full-scale study in the CLI (``--full``)
+    bumps ``instances`` to 100 and ``repetitions`` to 150.
     """
 
     model: str
@@ -54,65 +57,49 @@ class ExperimentConfig:
     instances: int = 20
     repetitions: int = 30
     master_seed: int = 0
-    resample_until_connected: bool = True
     measure_runtime: bool = False
-    output_path: str | None = None
 
     def __post_init__(self):
-        if self.model not in ("erdos-renyi", "barabasi-albert"):
-            raise ValueError(f"unknown model {self.model!r}")
         if not self.parameters:
             raise ValueError("parameter grid must not be empty")
         for value in self.parameters:
-            if self.model == "erdos-renyi" and not 0.0 <= value <= 1.0:
-                raise ValueError(f"edge probability must lie in [0, 1], got {value!r}")
-            if self.model == "barabasi-albert" and not (
-                1 <= value < self.n and float(value).is_integer()
-            ):
-                raise ValueError(
-                    f"attachment count must be an integer with 1 <= gamma < n, got {value!r}"
-                )
+            _spec(self, value, 0)
         if not self.leader_counts:
             raise ValueError("leader count list must not be empty")
         for count in self.leader_counts:
-            if not (1 <= count <= self.n):
+            if not 1 <= _integer(count, "leader_counts entry") <= self.n:
                 raise ValueError(f"leader count {count} impossible for n={self.n}")
         for name, values in (("parameters", self.parameters), ("leader_counts", self.leader_counts)):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"{name} repeats the value {repeated[0]!r}")
-        if self.instances < 1:
-            raise ValueError(f"instances must be >= 1, got {self.instances}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        _integer(self.instances, "instances", 1)
+        _integer(self.repetitions, "repetitions", 1)
+        _integer(self.master_seed, "master_seed")
+        if not isinstance(self.measure_runtime, bool):
+            raise ValueError(
+                f"measure_runtime must be true or false, got {self.measure_runtime!r}"
+            )
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        # Numbers only, kept uncast: trial_seed hashes each parameter's repr.
-        parameters = tuple(data["parameters"])
-        for value in parameters:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"parameters must be numbers, got {value!r}")
-        for flag in ("resample_until_connected", "measure_runtime"):
-            if not isinstance(data.get(flag, False), bool):
-                raise ValueError(f"{flag} must be true or false, got {data[flag]!r}")
-        output_path = data.get("output_path")
-        if output_path is not None and not isinstance(output_path, str):
-            raise ValueError(f"output_path must be a string or null, got {output_path!r}")
-        return cls(
-            model=data["model"],
-            n=_json_int(data["n"], "n"),
-            parameters=parameters,
-            leader_counts=tuple(
-                _json_int(x, "leader_counts entry") for x in data["leader_counts"]
-            ),
-            instances=_json_int(data.get("instances", 20), "instances"),
-            repetitions=_json_int(data.get("repetitions", 30), "repetitions"),
-            master_seed=_json_int(data.get("master_seed", 0), "master_seed"),
-            resample_until_connected=data.get("resample_until_connected", True),
-            measure_runtime=data.get("measure_runtime", False),
-            output_path=output_path,
+        """The config whose fields are the keys of ``data``; a missing
+        required field raises ``KeyError``, an unknown one ``ValueError``."""
+        values = {
+            f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING
+        }
+        for key in data:
+            if key not in values:
+                names = ", ".join(f.name for f in fields(cls))
+                raise ValueError(f"unknown field {key!r}; the fields are {names}")
+        for name in ("n", "instances", "repetitions", "master_seed"):
+            if name in values:
+                values[name] = _json_int(values[name], name)
+        values["parameters"] = tuple(values["parameters"])
+        values["leader_counts"] = tuple(
+            _json_int(x, "leader_counts entry") for x in values["leader_counts"]
         )
+        return cls(**values)
 
     def to_json(self) -> dict:
         lists = {"parameters": list(self.parameters), "leader_counts": list(self.leader_counts)}
@@ -166,25 +153,26 @@ def trial_seed(master_seed: int, model: str, parameter, num_leaders: int, trial:
     return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
 
 
+def _spec(config: ExperimentConfig, parameter, seed: int) -> GenSpec:
+    """The ``GenSpec`` a trial of ``parameter`` draws from. The config keeps
+    its parameters uncast, since ``trial_seed`` hashes their repr."""
+    if isinstance(parameter, bool) or not isinstance(parameter, Real):
+        raise ValueError(f"parameters must be numbers, got {parameter!r}")
+    if config.model == "erdos-renyi":
+        return GenSpec(model=config.model, n=config.n, p=float(parameter), seed=seed)
+    gamma = _json_int(parameter, "attachment count")
+    return GenSpec(model=config.model, n=config.n, gamma=gamma, seed=seed)
+
+
 def _draw_graph(config: ExperimentConfig, parameter, rng) -> tuple[Graph, int]:
-    """Draw one instance, resampling disconnected graphs when configured."""
-    attempts = MAX_RESAMPLE_ATTEMPTS if config.resample_until_connected else 1
-    for attempt in range(attempts):
-        gen_seed = int(rng.integers(0, 2**63))
-        if config.model == "erdos-renyi":
-            spec = GenSpec(model=config.model, n=config.n, p=float(parameter), seed=gen_seed)
-        else:
-            spec = GenSpec(model=config.model, n=config.n, gamma=int(parameter), seed=gen_seed)
-        g = generate(spec)
+    """Draw one connected instance and the number of disconnected draws before it."""
+    for attempt in range(MAX_RESAMPLE_ATTEMPTS):
+        g = generate(_spec(config, parameter, int(rng.integers(0, 2**63))))
         if is_connected(g):
             return g, attempt
-    if config.resample_until_connected:
-        raise DisconnectedGraphError(
-            f"no connected sample in {MAX_RESAMPLE_ATTEMPTS} attempts "
-            f"(model={config.model}, parameter={parameter})"
-        )
     raise DisconnectedGraphError(
-        "drew a disconnected sample and resample_until_connected is off"
+        f"no connected sample in {MAX_RESAMPLE_ATTEMPTS} attempts "
+        f"(model={config.model}, parameter={parameter})"
     )
 
 
@@ -269,8 +257,6 @@ def _aggregate(records: list[ExperimentRecord]) -> list[ExperimentAggregate]:
 
 
 def _format(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)

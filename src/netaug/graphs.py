@@ -63,7 +63,7 @@ class Graph:
     Parameters
     ----------
     n : int
-        Node count (must be positive).
+        Node count: a positive integer (NumPy integers included, bools not).
     edges : iterable of (int, int)
         Edge list; reversed duplicates collapse to one edge, self-loops
         and out-of-range endpoints raise ``ValueError``.
@@ -72,6 +72,7 @@ class Graph:
     __slots__ = ("n", "adjacency", "edges")
 
     def __init__(self, n: int, edges=()):
+        n = _integer(n, "node count")
         if n <= 0:
             raise ValueError(f"node count must be positive, got {n}")
         self.n = n
@@ -100,7 +101,7 @@ class Graph:
 
     def add_edges(self, extra) -> "Graph":
         """Return a new graph with ``extra`` edges added (duplicates ignored)."""
-        return Graph(self.n, list(self.edges) + [canonical_edge(u, v) for u, v in extra])
+        return Graph(self.n, chain(self.edges, extra))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -121,8 +122,10 @@ def bfs_distances(g: Graph, source: int) -> list[int | None]:
     """Hop distances from ``source`` to every node; ``None`` marks unreachable.
 
     Downstream code must treat ``None`` explicitly; it never participates in
-    distance arithmetic.
+    distance arithmetic. ``source`` must be an integer node id (``ValueError``
+    for a bool, a fraction or a node outside ``0..n-1``).
     """
+    source = _integer(source, "source")
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
     dist: list[int | None] = [None] * g.n

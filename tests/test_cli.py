@@ -208,6 +208,13 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert cli(["--help"]) == 0
 
+    def test_pmi_file_with_pmi_method_is_usage_error(self, star6, tmp_path, capsys):
+        pmi_file = tmp_path / "pmi.json"
+        assert cli(["pmi", "-g", star6, "--leaders", "0", "-o", str(pmi_file)]) == 0
+        augment = ["augment", "-g", star6, "--leaders", "0", "--pmi", str(pmi_file)]
+        assert cli(augment + ["--pmi-method", "exact"]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_one_parser_serves_every_call(self, path3, tmp_path, capsys):
         parser = _build_parser()
         seeded, default = tmp_path / "seeded.txt", tmp_path / "default.txt"
@@ -313,19 +320,26 @@ class TestExitCodes:
     def test_config_flag_of_wrong_type_is_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": [0.5],
-                                   "leader_counts": [2], "resample_until_connected": "false"}))
+                                   "leader_counts": [2], "measure_runtime": "false"}))
         assert cli(["experiment", "-c", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert "resample_until_connected must be true or false" in err and err.count("\n") == 1
+        assert "measure_runtime must be true or false" in err and err.count("\n") == 1
 
-    def test_config_output_path_of_wrong_type_is_domain_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("repetiton", 150), ("resample_until_connected", False), ("output_path", "r.csv")],
+    )
+    def test_config_unknown_field_is_domain_error(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
+        out = tmp_path / "records.csv"
         cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": [0.5],
-                                   "leader_counts": [2], "output_path": []}))
-        assert cli(["experiment", "-c", str(cfg)]) == 1
+                                   "leader_counts": [2], "instances": 1, key: value}))
+        assert cli(["experiment", "-c", str(cfg), "-o", str(out)]) == 1
         captured = capsys.readouterr()
-        assert "output_path must be a string or null, got []" in captured.err
-        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert f"unknown field '{key}'" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("payload", [{"node": 0}, [1, 2]], ids=["object", "int-list"])
     def test_pmi_file_of_wrong_shape_is_domain_error(self, star6, tmp_path, capsys, payload):

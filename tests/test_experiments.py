@@ -1,9 +1,9 @@
 import dataclasses
+import re
 
 import pytest
 
 from netaug import (
-    DisconnectedGraphError,
     ExperimentConfig,
     aggregates_to_csv,
     records_to_csv,
@@ -66,7 +66,7 @@ class TestConfig:
             {"model": "erdos-renyi", "n": 5, "parameters": [0.4], "leader_counts": [1]}
         )
         assert config.instances == 20 and config.repetitions == 30
-        assert config.resample_until_connected and not config.measure_runtime
+        assert not config.measure_runtime
 
     def test_json_non_numeric_parameters_rejected(self):
         for bad in ("0.3", True, None):
@@ -91,13 +91,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_json(data)
 
-    @pytest.mark.parametrize("value", [1, 7, True, False, 0.5])
-    def test_json_output_path_must_be_string_or_null(self, value):
+    @pytest.mark.parametrize(
+        "key", ["repetiton", "resample_until_connected", "output_path", "Model"]
+    )
+    def test_json_unknown_field_rejected(self, key):
         data = {"model": "erdos-renyi", "n": 8, "parameters": [0.4], "leader_counts": [2]}
-        with pytest.raises(ValueError, match="output_path must be a string or null"):
-            ExperimentConfig.from_json(dict(data, output_path=value))
-        assert ExperimentConfig.from_json(dict(data, output_path=None)).output_path is None
-        assert ExperimentConfig.from_json(dict(data, output_path="r.csv")).output_path == "r.csv"
+        with pytest.raises(ValueError, match=f"^unknown field '{key}'; the fields are model, "):
+            ExperimentConfig.from_json(dict(data, **{key: 150}))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 10.0, "node count must be an integer, got 10.0"),
+            ("instances", 2.5, "instances must be an integer, got 2.5"),
+            ("repetitions", True, "repetitions must be an integer, got True"),
+            ("leader_counts", (2.0,), "leader_counts entry must be an integer, got 2.0"),
+            ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+            ("measure_runtime", "no", "measure_runtime must be true or false, got 'no'"),
+            ("parameters", ("0.3",), "parameters must be numbers, got '0.3'"),
+        ],
+    )
+    def test_python_fields_checked_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{field: value})
 
     @pytest.mark.parametrize(
         "model, field, values, repeated",
@@ -190,11 +206,6 @@ class TestRunExperiment:
         config = small_config(model="barabasi-albert", parameters=(3,), leader_counts=(2,))
         records, _ = run_experiment(config)
         assert all(rec.edges_before == 3 + 7 * 3 for rec in records)
-
-    def test_resample_off_raises_on_disconnected(self):
-        config = small_config(parameters=(0.05,), resample_until_connected=False)
-        with pytest.raises(DisconnectedGraphError):
-            run_experiment(config)
 
     def test_measure_runtime_flag(self):
         config = small_config(instances=1, measure_runtime=True)

@@ -39,8 +39,17 @@ class TestGraphConstruction:
             Graph(3, [(0, 3)])
 
     def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="node count must be positive, got 0"):
             Graph(0)
+
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match=f"node count must be an integer, got {n!r}"):
+            Graph(n)
+
+    def test_numpy_integer_n_stored_as_int(self):
+        g = Graph(np.int64(3), [(0, 1)])
+        assert type(g.n) is int and g == Graph(3, [(0, 1)])
 
     @pytest.mark.parametrize(
         "edges, match",
@@ -76,6 +85,12 @@ class TestGraphConstruction:
         h = g.add_edges([(0, 2)])
         assert g.num_edges() == 2 and h.num_edges() == 3
 
+    def test_add_edges_canonicalizes_and_rejects_self_loops(self):
+        g = path_graph(3)
+        assert g.add_edges([(2, 0), (1, 0)]).edges == {(0, 1), (1, 2), (0, 2)}
+        with pytest.raises(ValueError, match="self-loop on node 1"):
+            g.add_edges([(1, 1)])
+
 
 class TestBFS:
     def test_path(self):
@@ -90,6 +105,14 @@ class TestBFS:
     def test_source_out_of_range(self):
         with pytest.raises(ValueError):
             bfs_distances(path_graph(3), 3)
+
+    @pytest.mark.parametrize("source", [True, 1.0])
+    def test_source_must_be_integer(self, source):
+        with pytest.raises(ValueError, match=f"source must be an integer, got {source!r}"):
+            bfs_distances(path_graph(3), source)
+
+    def test_numpy_integer_source(self):
+        assert bfs_distances(path_graph(3), np.int64(2)) == [2, 1, 0]
 
     def test_triangle_inequality_and_min_plus_oracle(self):
         for seed in range(5):
