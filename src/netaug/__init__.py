@@ -48,8 +48,6 @@ from .graphs import (
     Graph,
     barabasi_albert,
     bfs_distances,
-    canonical_edge,
-    complement_edges,
     erdos_renyi,
     generate,
     is_connected,
@@ -81,9 +79,7 @@ __all__ = [
     "barabasi_albert",
     "bfs_distances",
     "build_clique_chain",
-    "canonical_edge",
     "classify_fixed_nodes",
-    "complement_edges",
     "controllability_rank",
     "distance_to_leader_vectors",
     "erdos_renyi",

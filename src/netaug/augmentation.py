@@ -13,9 +13,10 @@ therefore keep the PMI sequence (and the controllability bound it certifies)
 valid on the augmented graph, and neither adds more than ``T``, the missing
 edges legal alone on the input graph.
 
-Everything here reads one input: BFS distance int arrays from the pair's
-ends, or from each leader and PMI node, checked once as they are computed
-(``DisconnectedGraphError`` names a node some source cannot reach).
+Everything here reads two int tables: ``at``, BFS distances from the pair's
+ends or from each PMI node and leader, checked once as they are computed
+(``DisconnectedGraphError`` names a node some source cannot reach), and
+``floor``, the distance each (leader, monitored node) pair must keep.
 ``level_partition`` returns the levels as a tuple of node tuples, which
 ``build_clique_chain`` takes back.
 """
@@ -120,13 +121,6 @@ def _levels(dist_a: np.ndarray, dist_b: np.ndarray, k: int) -> np.ndarray:
     return np.where(dist_a <= k // 2, dist_a, near_b)
 
 
-def _chain_mask(level: np.ndarray) -> np.ndarray:
-    """Node-pair mask of the clique chain: both ends at most one level apart.
-    It holds all node pairs, so at most ``DENSE_NODE_GUARD`` nodes."""
-    _guard_dense(len(level), "the clique chain")
-    return np.abs(level[:, None] - level[None, :]) <= 1
-
-
 def level_partition(g: Graph, a: int, b: int) -> tuple[tuple[int, ...], ...]:
     """Split all nodes into the k+1 levels used by the clique-chain construction,
     level 0 being ``(a,)``; every node must be reachable from the pair.
@@ -154,37 +148,29 @@ def build_clique_chain(levels: Sequence[Sequence[int]]) -> frozenset[Edge]:
     bad = ids[(ids < 0) | (counts > 1)]
     if bad.size:
         raise ValueError(f"node {bad[0]} is negative or repeated in the levels")
-    sizes = [len(level) for level in levels]
-    i, j = np.nonzero(np.triu(_chain_mask(np.repeat(np.arange(len(sizes)), sizes)), 1))
+    _guard_dense(nodes.size, "the clique chain")
+    level = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+    i, j = np.nonzero(np.triu(np.abs(level[:, None] - level[None, :]) <= 1, 1))
     u, w = nodes[i], nodes[j]
     return frozenset(zip(np.minimum(u, w).tolist(), np.maximum(u, w).tolist()))
 
 
-def _legal_alone(g: Graph, pairs: list[tuple[int, int]], dist: dict[int, np.ndarray]):
-    """Mask of the missing pairs ``lo < hi`` (``sorted(complement_edges(g))``
-    order) that keep every monitored distance when added alone; its sum is ``T``.
-
-    Edge ``(x, y)`` is legal iff ``d_v(y) >= need_v(x)`` and ``d_v(x) >= need_v(y)``
-    for every monitored ``v``, with ``need_v(x) = max_l(d(l, v) - d_l(x) - 1)``
-    over leaders ``l != v``. Also returns the scan's tables over sources ordered
-    monitored non-leaders, monitored leaders, other leaders: ``at[z, i] =
-    d(source_i, z)``, ``span[j, k] = d(l_k, v_j) - 1`` and ``need`` clamped at 0.
-    """
-    led = {ell for ell, _ in pairs}
-    watched = {v for _, v in pairs}
-    sources = sorted(watched - led) + sorted(watched & led) + sorted(led - watched)
-    lead, m = len(watched - led), len(watched)
-    # The reshape keeps n rows when nothing is monitored.
-    at = np.array([dist[s] for s in sources], dtype=np.intp).reshape(len(sources), g.n).T
-    span = at[sources[:m], lead:] - 1  # -1 where leader k is monitored node j
-    need = np.zeros((g.n, m), dtype=np.intp)  # one leader at a time: O(n * m)
-    for k in range(len(sources) - lead):
-        np.maximum(need, span[:, k] - at[:, lead + k, None], out=need)
+def _legal_alone(g: Graph, at: np.ndarray, floor: np.ndarray):
+    """Mask of the missing pairs ``lo < hi`` (row-major u < v order) that keep
+    every monitored distance of the ``_instance`` tables when added alone; its
+    sum is ``T``. Edge ``(x, y)`` is legal iff ``d_v(y) >= need_v(x)`` and
+    ``d_v(x) >= need_v(y)`` for every monitored ``v``, with ``need_v(x) =
+    max_l(d(l, v) - d_l(x) - 1)`` over the leaders, clamped at 0 (a floor of 0
+    adds nothing). Returns ``legal, lo, hi, need``."""
+    lead = at.shape[1] - floor.shape[1]
+    need = np.zeros((g.n, floor.shape[0]), dtype=np.intp)  # one leader at a time: O(n * m)
+    for k in range(floor.shape[1]):
+        np.maximum(need, floor[:, k] - 1 - at[:, lead + k, None], out=need)
     lo, hi = _missing_pairs(g)
     legal = np.ones(lo.size, dtype=bool)
-    for j in range(m):
+    for j in range(floor.shape[0]):
         legal &= (at[hi, j] >= need[lo, j]) & (at[lo, j] >= need[hi, j])
-    return legal, lo, hi, at, span, need
+    return legal, lo, hi, need
 
 
 def _result(
@@ -204,6 +190,20 @@ def _result(
     )
 
 
+def _chain(g: Graph, at: np.ndarray, floor: np.ndarray):
+    """The missing pairs in the clique chain (ends at most one level apart) of
+    every (leader, monitored node) pair with a nonzero floor, tested among the
+    pairs legal alone, which hold every chain edge; and the ``_legal_alone`` mask."""
+    legal, lo, hi, _ = _legal_alone(g, at, floor)
+    lo, hi = lo[legal], hi[legal]
+    lead = at.shape[1] - floor.shape[1]
+    for j, k in zip(*np.nonzero(floor)):
+        level = _levels(at[:, lead + k], at[:, j], floor[j, k])
+        keep = np.abs(level[lo] - level[hi]) <= 1
+        lo, hi = lo[keep], hi[keep]
+    return zip(lo.tolist(), hi.tolist()), legal
+
+
 def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
     """Maximal edge addition preserving the distance between one node pair.
 
@@ -213,29 +213,29 @@ def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
     """
     start = time.perf_counter()
     dist_a, dist_b, k = _pair_distances(g, a, b)
-    legal, lo, hi = _legal_alone(g, [(a, b)], {a: dist_a, b: dist_b})[:3]
-    keep = _chain_mask(_levels(dist_a, dist_b, k))[lo, hi]
-    return _result("clique-chain", g, zip(lo[keep].tolist(), hi[keep].tolist()), legal, start)
+    at, floor = np.column_stack((dist_b, dist_a)), np.array([[k]])  # monitored b, leader a
+    return _result("clique-chain", g, *_chain(g, at, floor), start)
 
 
-def _instance(
-    g: Graph, leaders: Sequence[int], pmi: PMISequence
-) -> tuple[list[tuple[int, int]], dict[int, np.ndarray]]:
+def _instance(g: Graph, leaders: Sequence[int], pmi: PMISequence) -> tuple[np.ndarray, np.ndarray]:
     """Check the PMI sequence against the graph, once per augmenter call.
 
-    Returns the monitored (leader, PMI node) pairs and one BFS distance int
-    array per source (leaders and PMI nodes). Every caller holds node pairs in
-    O(n^2) memory, so the graph must have at most ``DENSE_NODE_GUARD`` nodes.
+    Returns ``at[z, i] = d(s_i, z)`` over the sources ordered monitored (PMI)
+    non-leaders, monitored leaders, other leaders, and ``floor[j, k] = d(l_k,
+    v_j)`` for monitored node ``v_j = s_j`` and leader ``l_k`` (one of the last
+    columns). Every caller holds node pairs in O(n^2) memory, so the graph
+    must have at most ``DENSE_NODE_GUARD`` nodes.
     """
     _guard_dense(g.n, "edge augmentation")
-    leaders = _check_leaders(g, leaders)
-    nodes = pmi.nodes()
+    leaders = _check_leaders(g.n, leaders)
+    nodes, led = set(pmi.nodes()), set(leaders)
+    sources = sorted(nodes - led) + sorted(nodes & led) + sorted(led - nodes)
     # bfs_distances rejects out-of-range nodes; the witness pass rejects a
     # repeated node, whose two equal vectors admit no witness.
-    sources = sorted(set(leaders) | set(nodes))
-    dist = dict(zip(sources, _checked_distances(g, sources)))
+    at = _checked_distances(g, sources).T
+    by_leader = at[:, [sources.index(ell) for ell in leaders]]
     for dv in pmi.vectors:
-        actual = tuple(int(dist[ell][dv.node]) for ell in leaders)
+        actual = tuple(by_leader[dv.node].tolist())
         if dv.dist != actual:
             raise ValueError(
                 f"PMI vector for node {dv.node} does not match the graph: "
@@ -252,8 +252,7 @@ def _instance(
         if not dv.dist[w] < mins[w]:
             raise ValueError(f"PMI witness {w} for node {dv.node} does not hold")
         mins = list(map(min, mins, dv.dist))
-    pairs = [(ell, v) for ell in leaders for v in nodes if ell != v]
-    return pairs, dist
+    return at, at[sources[: len(nodes)], len(sources) - len(led):]
 
 
 def addable_edge_upper_bound(g: Graph, leaders: Sequence[int], pmi: PMISequence) -> int:
@@ -264,8 +263,7 @@ def addable_edge_upper_bound(g: Graph, leaders: Sequence[int], pmi: PMISequence)
     only fall, so no distance-preserving augmentation adds more than ``T``
     edges. It is the ``total_legal`` of ``success_probability_bound``.
     """
-    pairs, dist = _instance(g, leaders, pmi)
-    return int(_legal_alone(g, pairs, dist)[0].sum())
+    return int(_legal_alone(g, *_instance(g, leaders, pmi))[0].sum())
 
 
 def augment_intersection(
@@ -279,13 +277,7 @@ def augment_intersection(
     leader) the result is the complete graph.
     """
     start = time.perf_counter()
-    pairs, dist = _instance(g, leaders, pmi)
-    legal, lo, hi = _legal_alone(g, pairs, dist)[:3]
-    keep = np.ones((g.n, g.n), dtype=bool)
-    for ell, v in pairs:
-        keep &= _chain_mask(_levels(dist[ell], dist[v], dist[ell][v]))
-    keep = keep[lo, hi]
-    added = zip(lo[keep].tolist(), hi[keep].tolist())
+    added, legal = _chain(g, *_instance(g, leaders, pmi))
     return _result("intersection", g, added, legal, start, pmi_length=len(pmi))
 
 
@@ -304,7 +296,7 @@ def augment_randomized(
     """Densify by a seeded random scan over missing edges, best of ``repetitions``.
 
     The candidates are the missing node pairs, read row by row from a dense
-    adjacency mask, which lists them in ``sorted(complement_edges(g))`` order.
+    adjacency mask, which lists them in row-major u < v order.
     Each repetition shuffles them (stream ``default_rng([seed, repetition])``,
     so enlarging ``repetitions`` never changes earlier repetitions) and
     accepts an edge iff adding it to the accumulated graph keeps every
@@ -344,9 +336,10 @@ def augment_randomized(
     """
     seed, repetitions = _integer(seed, "seed"), _integer(repetitions, "repetitions", 1)
     start = time.perf_counter()
-    pairs, base_dist = _instance(g, leaders, pmi)
-    base_legal, lo, hi, at, span, need = _legal_alone(g, pairs, base_dist)
-    m, lead = need.shape[1], at.shape[1] - span.shape[1]
+    at, floor = _instance(g, leaders, pmi)
+    base_legal, lo, hi, need = _legal_alone(g, at, floor)
+    span = floor - 1  # -1 where leader k is monitored node j
+    m, lead = need.shape[1], at.shape[1] - floor.shape[1]
 
     # The scan keeps min(d, cap) per source: no test tells apart distances
     # at or above the cap. Monitored node j: need_j <= max_k span[j, k].

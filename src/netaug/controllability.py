@@ -110,15 +110,15 @@ class PMICheck:
     violation: tuple[int, int] | None = None
 
 
-def _check_leaders(g: Graph, leaders: Sequence[int]) -> tuple[int, ...]:
+def _check_leaders(n: int, leaders: Sequence[int]) -> tuple[int, ...]:
     leaders = tuple(_integer(ell, "leader") for ell in leaders)
     if not leaders:
         raise ValueError("at least one leader is required")
     if len(set(leaders)) != len(leaders):
         raise ValueError(f"leaders must be distinct, got {leaders}")
     for ell in leaders:
-        if not (0 <= ell < g.n):
-            raise ValueError(f"leader {ell} out of range for n={g.n}")
+        if not (0 <= ell < n):
+            raise ValueError(f"leader {ell} out of range for n={n}")
     return leaders
 
 
@@ -127,7 +127,7 @@ def distance_to_leader_vectors(g: Graph, leaders: Sequence[int]) -> list[Distanc
 
     Requires a connected graph (one BFS pass per leader).
     """
-    columns = _checked_distances(g, _check_leaders(g, leaders)).T.tolist()
+    columns = _checked_distances(g, _check_leaders(g.n, leaders)).T.tolist()
     return [DistanceVector(v, tuple(dist)) for v, dist in enumerate(columns)]
 
 
@@ -183,7 +183,7 @@ def pmi_exact(g: Graph, leaders: Sequence[int]) -> PMISequence:
     The work, reachable minima times distinct vectors, is guarded by
     ``PMI_EXACT_GUARD`` (``SizeGuardError``; use ``pmi_greedy`` there).
     """
-    leaders = _check_leaders(g, leaders)
+    leaders = _check_leaders(g.n, leaders)
     rep = _distinct_vectors(g, leaders)
     vectors = sorted(rep)
 
@@ -229,7 +229,7 @@ def pmi_greedy(g: Graph, leaders: Sequence[int]) -> PMISequence:
     and the picks come in key order: one pass over the vectors sorted by key
     takes each one that is eligible when reached.
     """
-    leaders = _check_leaders(g, leaders)
+    leaders = _check_leaders(g.n, leaders)
     rep = _distinct_vectors(g, leaders)
     thresholds = [-1] * len(leaders)
     keyed = [(min(vec), vec.index(min(vec)), node, vec) for vec, node in rep.items()]
@@ -244,13 +244,11 @@ def pmi_greedy(g: Graph, leaders: Sequence[int]) -> PMISequence:
 
 
 def input_matrix(n: int, leaders: Sequence[int]) -> np.ndarray:
-    """n-by-m 0/1 matrix with one column per leader (a single 1 at its row)."""
-    leaders = tuple(leaders)
+    """n-by-m 0/1 matrix with one column per leader (a single 1 at its row);
+    ``n`` must be an integer and the leaders distinct integer nodes of ``0..n-1``."""
+    leaders = _check_leaders(_integer(n, "node count"), leaders)
     mat = np.zeros((n, len(leaders)), dtype=float)
-    for j, ell in enumerate(leaders):
-        if not (0 <= ell < n):
-            raise ValueError(f"leader {ell} out of range for n={n}")
-        mat[ell, j] = 1.0
+    mat[leaders, range(len(leaders))] = 1.0
     return mat
 
 
@@ -474,7 +472,7 @@ def validate_ssc_bound(
     second prime. ``bound`` and ``trials`` must be integers >= 1 (``ValueError``
     otherwise). The graph must be connected, with at most ``DENSE_NODE_GUARD`` nodes.
     """
-    leaders, seed = _check_leaders(g, leaders), _integer(seed, "seed")
+    leaders, seed = _check_leaders(g.n, leaders), _integer(seed, "seed")
     bound, trials = _integer(bound, "claimed bound", 1), _integer(trials, "trials", 1)
     if not is_connected(g):
         raise DisconnectedGraphError("rank validation needs a connected graph")

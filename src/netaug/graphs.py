@@ -27,10 +27,8 @@ __all__ = [
     "Edge",
     "Graph",
     "GenSpec",
-    "canonical_edge",
     "bfs_distances",
     "is_connected",
-    "complement_edges",
     "erdos_renyi",
     "barabasi_albert",
     "generate",
@@ -41,17 +39,10 @@ __all__ = [
 ]
 
 #: Routines that hold all n(n-1)/2 node pairs refuse graphs with more nodes
-#: than this. ``complement_edges`` holds them as Python tuples (~50-100 bytes
-#: each, ~1 GB at this size); the rest hold NumPy arrays: one double per pair
-#: in ``erdos_renyi`` (~67 MB), dense n x n masks and matrices elsewhere.
+#: than this. They hold NumPy arrays: one double per pair in ``erdos_renyi``
+#: (~67 MB at this size), the missing pairs in row-major u < v order as two
+#: int arrays, dense n x n masks and matrices elsewhere.
 DENSE_NODE_GUARD = 4096
-
-
-def canonical_edge(u: int, v: int) -> Edge:
-    """Return the pair ordered as (min, max); rejects self-loops."""
-    if u == v:
-        raise ValueError(f"self-loop on node {u} is not allowed")
-    return (u, v) if u < v else (v, u)
 
 
 class Graph:
@@ -166,18 +157,10 @@ def _guard_dense(n: int, what: str) -> None:
         )
 
 
-def complement_edges(g: Graph) -> set[Edge]:
-    """All node pairs absent from the graph; guarded to ``n <= DENSE_NODE_GUARD``."""
-    _guard_dense(g.n, "the complement edge list")
-    return {
-        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges
-    }
-
-
 def _missing_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The node pairs absent from the graph as two int arrays ``u < v``, read
-    row by row from a dense adjacency mask: ``sorted(complement_edges(g))``
-    order. Guarded to ``n <= DENSE_NODE_GUARD`` before the mask is allocated."""
+    """The node pairs absent from the graph as two int arrays ``u < v``, in
+    row-major u < v order from a dense adjacency mask. Guarded to
+    ``n <= DENSE_NODE_GUARD`` before the mask is allocated."""
     _guard_dense(g.n, "the complement mask")
     present = np.zeros((g.n, g.n), dtype=bool)
     present[_edge_arrays(g)] = True

@@ -22,7 +22,6 @@ from netaug import (
     PMICheck,
     PMISequence,
     bfs_distances,
-    complement_edges,
     erdos_renyi,
     is_connected,
 )
@@ -63,6 +62,12 @@ def reference_barabasi_albert(spec: GenSpec) -> Graph:
             degree[t] += 1
         degree[new] = gamma
     return Graph(spec.n, edges)
+
+
+def complement_edges(g: Graph) -> set[tuple[int, int]]:
+    """All node pairs ``(u, v)``, ``u < v``, absent from the graph, by a
+    Python scan over every pair."""
+    return {(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges}
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:

@@ -23,7 +23,6 @@ from netaug import (
     augment_randomized,
     bfs_distances,
     build_clique_chain,
-    complement_edges,
     distance_to_leader_vectors,
     erdos_renyi,
     is_connected,
@@ -38,7 +37,7 @@ from netaug import (
 )
 from netaug.cli import cli
 
-from helpers import optimum_oracle
+from helpers import complement_edges, optimum_oracle
 
 
 def report(name: str, failures: list, detail: str = ""):

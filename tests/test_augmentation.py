@@ -20,7 +20,6 @@ from netaug import (
     bfs_distances,
     build_clique_chain,
     classify_fixed_nodes,
-    complement_edges,
     distance_to_leader_vectors,
     is_pmi,
     kirchhoff_index,
@@ -31,6 +30,7 @@ from netaug import (
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     all_pairs_min_plus,
+    complement_edges,
     complete_graph,
     cycle_graph,
     full_subset_pair_optimum,
@@ -301,6 +301,7 @@ class TestAgainstOptimum:
         chain = augment_pair(g, a, b)
         assert chain.edges_after == intersection_oracle(g, [(a, b)])
         assert len(chain.added) <= optimum_oracle(g, [(a, b)])[0]
+        assert chain.upper_bound_addable == legal_alone_oracle(g, [(a, b)])
 
     def test_level_rule_can_miss_the_pair_optimum(self):
         # Path 0-2-3-4-5-1 with the tail 1-6-7-8. The level rule puts 6, 7

