@@ -2,7 +2,9 @@
 
 Subcommands: ``gen`` (random graph to edge-list file), ``pmi`` (PMI sequence
 as JSON), ``augment`` (run one augmenter, JSON result), ``validate`` (random
-weight rank check, JSON report), ``experiment`` (ensemble study, CSV).
+weight rank check, JSON report), ``experiment`` (ensemble study, CSV). Every
+``experiment`` setting, scale and runtime columns included, comes from its
+config JSON; the command itself only names the input and output files.
 Exit codes: 0 success, 1 domain error (bad values or input fields), 2 usage error.
 """
 
@@ -138,10 +140,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = _read_json(args.config, ExperimentConfig.from_json)
-    if args.full:
-        config = dataclasses.replace(config, instances=100, repetitions=150)
-    if args.time:
-        config = dataclasses.replace(config, measure_runtime=True)
     records, aggregates = run_experiment(config)
     _write_output(records_to_csv(records), args.output)
     if args.aggregates:
@@ -202,9 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("-c", "--config", required=True)
     exp.add_argument("-o", "--output", default=None)
     exp.add_argument("--aggregates", default=None, help="also write per-cell means here")
-    exp.add_argument("--full", action="store_true",
-                     help="full-scale settings: 100 instances, 150 repetitions")
-    exp.add_argument("--time", action="store_true", help="record measured runtimes")
     exp.set_defaults(func=_cmd_experiment)
 
     return parser

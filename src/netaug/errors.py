@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DisconnectedGraphError", "EdgeListParseError", "SizeGuardError"]
+
 
 class DisconnectedGraphError(ValueError):
     """Raised when an operation requires connectivity the graph lacks."""

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 from dataclasses import MISSING, asdict, dataclass, fields
-from numbers import Real
 
 import numpy as np
 
@@ -46,8 +45,8 @@ class ExperimentConfig:
     a number (``1`` and ``1.0`` are one cell), which would rerun the same
     trials. Every setting is checked at construction, the grid values by the
     ``GenSpec`` each trial draws from; any bad value raises ``ValueError``.
-    Defaults are desk scale; the full-scale study in the CLI (``--full``)
-    bumps ``instances`` to 100 and ``repetitions`` to 150.
+    Defaults are desk scale; the paper-scale study sets ``instances`` to 100
+    and ``repetitions`` to 150.
     """
 
     model: str
@@ -156,10 +155,8 @@ def trial_seed(master_seed: int, model: str, parameter, num_leaders: int, trial:
 def _spec(config: ExperimentConfig, parameter, seed: int) -> GenSpec:
     """The ``GenSpec`` a trial of ``parameter`` draws from. The config keeps
     its parameters uncast, since ``trial_seed`` hashes their repr."""
-    if isinstance(parameter, bool) or not isinstance(parameter, Real):
-        raise ValueError(f"parameters must be numbers, got {parameter!r}")
     if config.model == "erdos-renyi":
-        return GenSpec(model=config.model, n=config.n, p=float(parameter), seed=seed)
+        return GenSpec(model=config.model, n=config.n, p=parameter, seed=seed)
     gamma = _json_int(parameter, "attachment count")
     return GenSpec(model=config.model, n=config.n, gamma=gamma, seed=seed)
 

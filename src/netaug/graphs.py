@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -56,8 +56,9 @@ class Graph:
     n : int
         Node count: a positive integer (NumPy integers included, bools not).
     edges : iterable of (int, int)
-        Edge list; reversed duplicates collapse to one edge, self-loops
-        and out-of-range endpoints raise ``ValueError``.
+        Edge list; reversed duplicates collapse to one edge. Self-loops and
+        endpoints that are out of range or not integers (bools and floats
+        included) raise ``ValueError``.
     """
 
     __slots__ = ("n", "adjacency", "edges")
@@ -70,17 +71,28 @@ class Graph:
         edge_set: set[Edge] = set()
         add = edge_set.add
         adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if 0 <= u < v < n:
-                add((u, v))
-            elif 0 <= v < u < n:
-                add((v, u))
-            elif 0 <= u < n and 0 <= v < n:
-                raise ValueError(f"self-loop on node {u} is not allowed")
-            else:
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            adj[u].add(v)
-            adj[v].add(u)
+        u = v = 0  # bound for the handler if the first edge does not unpack
+        try:
+            for u, v in edges:
+                if 0 <= u < v < n:
+                    add((u, v))
+                elif 0 <= v < u < n:
+                    add((v, u))
+                elif 0 <= u < n and 0 <= v < n:
+                    raise ValueError(f"self-loop on node {u} is not allowed")
+                else:
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                adj[u].add(v)
+                adj[v].add(u)
+        except TypeError:  # a float or other non-index endpoint
+            _integer(u, "edge endpoint")
+            _integer(v, "edge endpoint")
+            raise
+        # A bool indexes a list, so only a pass over the kept endpoints' types
+        # finds it; it runs once, outside the loop. NumPy integers pass.
+        if set(map(type, chain.from_iterable(edge_set))) - {int}:
+            for endpoint in chain.from_iterable(edge_set):
+                _integer(endpoint, "edge endpoint")
         self.adjacency = adj
         self.edges = frozenset(edge_set)
 
@@ -174,7 +186,8 @@ class GenSpec:
     ``model`` is ``"erdos-renyi"`` (uses ``p``) or ``"barabasi-albert"``
     (uses ``gamma``). ``seed`` is a 64-bit unsigned integer feeding PCG64.
     ``n``, ``gamma`` and ``seed`` must be integers (NumPy integers included,
-    bools not); any other value raises ``ValueError``.
+    bools not) and ``p`` a real number (not a bool); any other value raises
+    ``ValueError``.
     """
 
     model: str
@@ -191,7 +204,9 @@ class GenSpec:
         if not (0 <= _integer(self.seed, "seed") < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.model == "erdos-renyi":
-            if self.p is None or not (0.0 <= self.p <= 1.0):
+            if isinstance(self.p, bool) or not isinstance(self.p, Real):
+                raise ValueError(f"edge probability must be a real number, got {self.p!r}")
+            if not (0.0 <= self.p <= 1.0):
                 raise ValueError(f"edge probability must lie in [0, 1], got {self.p}")
         else:
             if self.gamma is None or not (1 <= _integer(self.gamma, "attachment count") < self.n):

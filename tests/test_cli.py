@@ -341,6 +341,17 @@ class TestExitCodes:
         assert captured.out == "" and not out.exists()
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--full", "--time"])
+    def test_experiment_setting_flag_is_usage_error(self, tmp_path, capsys, flag):
+        # Scale and runtime columns are config fields, not flags.
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "records.csv"
+        cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": [0.5],
+                                   "leader_counts": [2], "instances": 1}))
+        assert cli(["experiment", "-c", str(cfg), flag, "-o", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("payload", [{"node": 0}, [1, 2]], ids=["object", "int-list"])
     def test_pmi_file_of_wrong_shape_is_domain_error(self, star6, tmp_path, capsys, payload):
         pmi_file = tmp_path / "pmi.json"

@@ -69,11 +69,16 @@ class TestConfig:
         assert not config.measure_runtime
 
     def test_json_non_numeric_parameters_rejected(self):
-        for bad in ("0.3", True, None):
-            with pytest.raises(ValueError, match="parameters must be numbers"):
-                ExperimentConfig.from_json(
-                    {"model": "erdos-renyi", "n": 5, "parameters": [bad], "leader_counts": [1]}
-                )
+        # GenSpec checks an edge probability, _json_int an attachment count.
+        for model, message in (
+            ("erdos-renyi", "edge probability must be a real number"),
+            ("barabasi-albert", "attachment count must be an integer"),
+        ):
+            for bad in ("0.3", True, None):
+                with pytest.raises(ValueError, match=f"^{message}, got {re.escape(repr(bad))}$"):
+                    ExperimentConfig.from_json(
+                        {"model": model, "n": 5, "parameters": [bad], "leader_counts": [1]}
+                    )
 
     @pytest.mark.parametrize(
         "field, value",
@@ -108,7 +113,7 @@ class TestConfig:
             ("leader_counts", (2.0,), "leader_counts entry must be an integer, got 2.0"),
             ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
             ("measure_runtime", "no", "measure_runtime must be true or false, got 'no'"),
-            ("parameters", ("0.3",), "parameters must be numbers, got '0.3'"),
+            ("parameters", ("0.3",), "edge probability must be a real number, got '0.3'"),
         ],
     )
     def test_python_fields_checked_at_construction(self, field, value, message):

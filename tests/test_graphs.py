@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,24 @@ class TestGraphConstruction:
     def test_numpy_integer_endpoints(self):
         g = Graph(3, [(np.int64(2), np.int64(1)), (1, 2)])
         assert g.edges == {(1, 2)} and g.adjacency == [set(), {2}, {1}]
+
+    @pytest.mark.parametrize(
+        "edges, bad",
+        [
+            ([(True, 2)], True),
+            ([(0, 1), (2, False)], False),
+            ([(0, 1.5)], 1.5),
+            ([(0.5, 2)], 0.5),
+            ([(0, 1), (np.float64(1.0), 2)], np.float64(1.0)),
+            ([(0, "1")], "1"),
+            ([(None, 1)], None),
+        ],
+    )
+    def test_rejects_non_integer_endpoint(self, edges, bad):
+        # A bool would be written as "True", which parse_edge_list cannot read.
+        message = f"edge endpoint must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(3, edges)
 
     def test_reversed_duplicates_collapse(self):
         g = Graph(3, [(0, 1), (1, 0)])
@@ -187,6 +206,12 @@ class TestErdosRenyi:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             GenSpec(model="erdos-renyi", n=10, p=1.5, seed=0)
+
+    @pytest.mark.parametrize("p", [True, "0.5", None])
+    def test_p_must_be_a_real_number(self, p):
+        message = f"edge probability must be a real number, got {p!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GenSpec(model="erdos-renyi", n=5, p=p)
 
     def test_size_guard(self):
         spec = GenSpec(model="erdos-renyi", n=DENSE_NODE_GUARD + 1, p=0.1, seed=0)
