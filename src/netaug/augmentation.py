@@ -161,16 +161,22 @@ def _legal_alone(g: Graph, at: np.ndarray, floor: np.ndarray):
     sum is ``T``. Edge ``(x, y)`` is legal iff ``d_v(y) >= need_v(x)`` and
     ``d_v(x) >= need_v(y)`` for every monitored ``v``, with ``need_v(x) =
     max_l(d(l, v) - d_l(x) - 1)`` over the leaders, clamped at 0 (a floor of 0
-    adds nothing). Returns ``legal, lo, hi, need``."""
+    adds nothing). One n x n mask ``ok[x, y]`` holds the first half for every
+    node pair, one broadcast compare per monitored node, so the cost is
+    O(n^2 * monitored) whatever the number of missing pairs. Returns ``legal,
+    lo, hi, need``."""
     lead = at.shape[1] - floor.shape[1]
     need = np.zeros((g.n, floor.shape[0]), dtype=np.intp)  # one leader at a time: O(n * m)
     for k in range(floor.shape[1]):
         np.maximum(need, floor[:, k] - 1 - at[:, lead + k, None], out=need)
     lo, hi = _missing_pairs(g)
-    legal = np.ones(lo.size, dtype=bool)
-    for j in range(floor.shape[0]):
-        legal &= (at[hi, j] >= need[lo, j]) & (at[lo, j] >= need[hi, j])
-    return legal, lo, hi, need
+    # Distances and thresholds are below n <= DENSE_NODE_GUARD, so int16 holds them.
+    dist, low = at[:, : need.shape[1]].T.astype(np.int16), need.T.astype(np.int16)
+    ok = np.ones((g.n, g.n), dtype=bool)
+    ge = np.empty_like(ok)
+    for d, row in zip(dist, low):
+        ok &= np.greater_equal(d, row[:, None], out=ge)
+    return ok[lo, hi] & ok[hi, lo], lo, hi, need
 
 
 def _result(
@@ -193,14 +199,24 @@ def _result(
 def _chain(g: Graph, at: np.ndarray, floor: np.ndarray):
     """The missing pairs in the clique chain (ends at most one level apart) of
     every (leader, monitored node) pair with a nonzero floor, tested among the
-    pairs legal alone, which hold every chain edge; and the ``_legal_alone`` mask."""
+    pairs legal alone, which hold every chain edge; and the ``_legal_alone`` mask.
+
+    One n x n mask starts at the legal pairs and is ANDed with one level-gap
+    mask per pair: ``a - (b - 1)`` lies in [0, 2] iff ``|a - b| <= 1``, so the
+    int16 gap read as uint16 is at most 2 (a negative one wraps high). Three
+    n x n buffers, two bool and one int16, are reused for every pair; the
+    surviving pairs come out of ``np.nonzero`` in row-major u < v order."""
     legal, lo, hi, _ = _legal_alone(g, at, floor)
-    lo, hi = lo[legal], hi[legal]
+    keep = np.zeros((g.n, g.n), dtype=bool)
+    keep[lo, hi] = legal
+    gap = np.empty(keep.shape, dtype=np.int16)
+    near = np.empty_like(keep)
     lead = at.shape[1] - floor.shape[1]
     for j, k in zip(*np.nonzero(floor)):
-        level = _levels(at[:, lead + k], at[:, j], floor[j, k])
-        keep = np.abs(level[lo] - level[hi]) <= 1
-        lo, hi = lo[keep], hi[keep]
+        level = _levels(at[:, lead + k], at[:, j], floor[j, k]).astype(np.int16)
+        np.subtract(level[:, None], level - 1, out=gap)
+        keep &= np.less_equal(gap.view(np.uint16), 2, out=near)
+    lo, hi = np.nonzero(keep)
     return zip(lo.tolist(), hi.tolist()), legal
 
 

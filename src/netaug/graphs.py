@@ -8,6 +8,11 @@ bit-for-bit on any platform.
 ``laplacian`` builds the dense weighted Laplacian from edge arrays. It is the
 one matrix behind both the rank check (random integer weights) and the
 Kirchhoff index (unit weights).
+
+A ``Graph`` checks and stores its edge set only. The views derived from it,
+the sorted edge arrays and the adjacency sets, are built on first use and
+cached on the instance, so a graph that no BFS or matrix ever reads costs one
+pass over its edges.
 """
 
 from __future__ import annotations
@@ -49,7 +54,10 @@ class Graph:
     """Simple undirected graph on nodes ``0..n-1``.
 
     Instances are immutable by convention: build once, then share freely.
-    ``add_edges`` returns a new graph instead of mutating.
+    ``add_edges`` returns a new graph instead of mutating. ``adjacency`` and
+    the sorted edge arrays are built from ``edges`` on first use and cached;
+    they derive from the immutable edge set, so caching them changes nothing
+    a caller sees.
 
     Parameters
     ----------
@@ -61,7 +69,7 @@ class Graph:
         included) raise ``ValueError``.
     """
 
-    __slots__ = ("n", "adjacency", "edges")
+    __slots__ = ("n", "edges", "_adjacency", "_arrays")
 
     def __init__(self, n: int, edges=()):
         n = _integer(n, "node count")
@@ -70,7 +78,7 @@ class Graph:
         self.n = n
         edge_set: set[Edge] = set()
         add = edge_set.add
-        adj: list[set[int]] = [set() for _ in range(n)]
+        nodes = [None] * n
         u = v = 0  # bound for the handler if the first edge does not unpack
         try:
             for u, v in edges:
@@ -82,8 +90,9 @@ class Graph:
                     raise ValueError(f"self-loop on node {u} is not allowed")
                 else:
                     raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-                adj[u].add(v)
-                adj[v].add(u)
+                # Indexing raises TypeError for a float, also one whose edge
+                # collapsed into an equal edge of ints.
+                nodes[u], nodes[v]
         except TypeError:  # a float or other non-index endpoint
             _integer(u, "edge endpoint")
             _integer(v, "edge endpoint")
@@ -93,14 +102,28 @@ class Graph:
         if set(map(type, chain.from_iterable(edge_set))) - {int}:
             for endpoint in chain.from_iterable(edge_set):
                 _integer(endpoint, "edge endpoint")
-        self.adjacency = adj
         self.edges = frozenset(edge_set)
+        self._adjacency = self._arrays = None
+
+    @property
+    def adjacency(self) -> list[set[int]]:
+        """The neighbour set of every node, built from the sorted edges on first
+        access and cached; treat it as read-only."""
+        if self._adjacency is None:
+            adjacency: list[set[int]] = [set() for _ in range(self.n)]
+            u, v = _edge_arrays(self)
+            for a, b in zip(u.tolist(), v.tolist()):  # no list of tuples, unlike sorted_edges
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+            self._adjacency = adjacency
+        return self._adjacency
 
     def num_edges(self) -> int:
         return len(self.edges)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        u, v = _edge_arrays(self)
+        return list(zip(u.tolist(), v.tolist()))
 
     def add_edges(self, extra) -> "Graph":
         """Return a new graph with ``extra`` edges added (duplicates ignored)."""
@@ -114,11 +137,17 @@ class Graph:
 
 
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The edges as two int arrays ``u < v``, in ``g.sorted_edges()`` order."""
-    pairs = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
-    u, v = pairs.reshape(-1, 2).T
-    order = np.lexsort((v, u))
-    return u[order], v[order]
+    """The edges as two read-only int arrays ``u < v`` in sorted order, built on
+    first use and cached on the graph."""
+    if g._arrays is None:
+        pairs = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
+        u, v = pairs.reshape(-1, 2).T
+        # The key u * n + v sorts as (u, v) does while it fits in an int64.
+        order = np.argsort(u * g.n + v) if g.n <= 2**31 else np.lexsort((v, u))
+        u, v = u[order], v[order]
+        u.flags.writeable = v.flags.writeable = False
+        g._arrays = u, v
+    return g._arrays
 
 
 def bfs_distances(g: Graph, source: int) -> list[int | None]:
@@ -133,11 +162,12 @@ def bfs_distances(g: Graph, source: int) -> list[int | None]:
         raise ValueError(f"source {source} out of range for n={g.n}")
     dist: list[int | None] = [None] * g.n
     dist[source] = 0
+    adjacency = g.adjacency
     queue = deque([source])
     while queue:
         u = queue.popleft()
         du = dist[u]
-        for w in g.adjacency[u]:
+        for w in adjacency[u]:
             if dist[w] is None:
                 dist[w] = du + 1
                 queue.append(w)
@@ -171,12 +201,12 @@ def _guard_dense(n: int, what: str) -> None:
 
 def _missing_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The node pairs absent from the graph as two int arrays ``u < v``, in
-    row-major u < v order from a dense adjacency mask. Guarded to
+    row-major u < v order from one dense n x n mask. Guarded to
     ``n <= DENSE_NODE_GUARD`` before the mask is allocated."""
     _guard_dense(g.n, "the complement mask")
-    present = np.zeros((g.n, g.n), dtype=bool)
-    present[_edge_arrays(g)] = True
-    return np.nonzero(np.triu(~present, 1))
+    taken = np.tri(g.n, dtype=bool)  # u >= v is never a candidate
+    taken[_edge_arrays(g)] = True
+    return np.nonzero(np.logical_not(taken, out=taken))
 
 
 @dataclass(frozen=True)

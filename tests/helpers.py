@@ -5,7 +5,8 @@ The oracles here deliberately take different routes than the library code
 sorted pass, per-coordinate scans vs suffix minima, a MILP optimum vs clique
 chains and greedy scans, pseudo-inverse resistances vs eigenvalue sums,
 rational elimination vs modular Krylov blocks, Python pair lists and
-``rng.choice`` vs array draws) so they can catch bugs in the implementations
+``rng.choice`` vs array draws, frontier sets over edge lists vs cached
+adjacency sets) so they can catch bugs in the implementations
 they check.
 """
 
@@ -91,15 +92,43 @@ def all_pairs_min_plus(g: Graph) -> np.ndarray:
     return dist
 
 
+def bfs_oracle(g: Graph, sources) -> dict[int, list]:
+    """Hop distances from each source (``None`` where unreachable), expanding
+    whole frontier sets over neighbour lists built here from ``g.edges``, so
+    neither ``g.adjacency`` nor ``bfs_distances`` is read."""
+    neighbours: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    out = {}
+    for source in sources:
+        dist: list = [None] * g.n
+        frontier, depth = {source}, 0
+        while frontier:
+            for u in frontier:
+                dist[u] = depth
+            frontier = {w for u in frontier for w in neighbours[u] if dist[w] is None}
+            depth += 1
+        out[source] = dist
+    return out
+
+
 def legal_alone_oracle(g: Graph, pairs) -> int:
     """Missing edges that keep every (a, b) distance in ``pairs`` when added
-    alone, by adding each one and recomputing all (min, +) distances."""
-    before = all_pairs_min_plus(g)
-    legal = 0
-    for edge in sorted(complement_edges(g)):
-        after = all_pairs_min_plus(g.add_edges([edge]))
-        legal += all(after[a, b] == before[a, b] for a, b in pairs)
-    return legal
+    alone. A shortest path uses the new edge (x, y) at most once, so the
+    distance becomes ``min(d(a, b), d(a, x) + 1 + d(y, b), d(a, y) + 1 +
+    d(x, b))``; it is read per pair for every missing edge at once from
+    ``bfs_oracle`` distances. The graph must be connected."""
+    x, y = np.array(sorted(complement_edges(g)), dtype=np.int64).reshape(-1, 2).T
+    dist = {
+        s: np.array(d, dtype=np.int64)
+        for s, d in bfs_oracle(g, {node for pair in pairs for node in pair}).items()
+    }
+    legal = np.ones(x.size, dtype=bool)
+    for a, b in pairs:
+        da, db = dist[a], dist[b]
+        legal &= np.minimum(da[x] + db[y], da[y] + db[x]) + 1 >= da[b]
+    return int(legal.sum())
 
 
 def intersection_oracle(g: Graph, pairs) -> frozenset:

@@ -30,6 +30,7 @@ from netaug import (
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     all_pairs_min_plus,
+    bfs_oracle,
     complement_edges,
     complete_graph,
     cycle_graph,
@@ -685,6 +686,18 @@ class TestUpperBound:
             b = max(range(g.n), key=lambda v: dist[v])
             assert augment_pair(g, 0, b).upper_bound_addable == legal_alone_oracle(g, [(0, b)])
 
+    @settings(max_examples=40, deadline=None)
+    @given(scan_instances(min_n=2, max_n=9))
+    def test_legal_alone_oracle_matches_recomputation(self, instance):
+        g, leaders, seq = instance
+        pairs = [(ell, v) for ell in leaders for v in seq.nodes() if ell != v]
+        before = all_pairs_min_plus(g)
+        recomputed = 0
+        for edge in complement_edges(g):
+            after = all_pairs_min_plus(g.add_edges([edge]))
+            recomputed += all(after[a, b] == before[a, b] for a, b in pairs)
+        assert legal_alone_oracle(g, pairs) == recomputed
+
     def test_disconnected_input_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])
         seq = PMISequence((DistanceVector(0, (0,)), DistanceVector(1, (1,))), (0, 0))
@@ -698,6 +711,60 @@ class TestUpperBound:
         for run in (augment_intersection, augment_randomized, addable_edge_upper_bound):
             with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
                 run(g, (0,), seq)
+
+
+def path_with_random_chords(n, chords, leaders, seed):
+    """Path 0..n-1 plus ``chords`` distinct random node pairs, and ``leaders``
+    distinct random leaders, all drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, i + 1) for i in range(n - 1)}
+    while len(edges) < n - 1 + chords:
+        edges.add(tuple(sorted(rng.choice(n, 2, replace=False).tolist())))
+    return Graph(n, edges), tuple(rng.choice(n, leaders, replace=False).tolist())
+
+
+class TestDenseMasks:
+    """The n x n masks behind T and the intersection, where the missing pairs
+    far outnumber the monitored nodes (a long path) or the node pairs far
+    outnumber the missing ones (a near-complete graph)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: path_with_random_chords(400, 40, 3, seed=5),
+            lambda: (random_connected_graph(120, 0.9, seed=3), (0, 40, 80, 119)),
+        ],
+        ids=["path-400-chords", "er-120-0.9"],
+    )
+    def test_bound_and_distances_against_oracles(self, make):
+        g, leaders = make()
+        seq = pmi_setup(g, leaders)
+        pairs = [(ell, v) for ell in leaders for v in seq.nodes() if ell != v]
+        res = augment_intersection(g, leaders, seq)
+        assert res.added and res.upper_bound_addable == legal_alone_oracle(g, pairs)
+        assert addable_edge_upper_bound(g, leaders, seq) == res.upper_bound_addable
+        before, after = bfs_oracle(g, leaders), bfs_oracle(Graph(g.n, res.edges_after), leaders)
+        assert all(after[ell][v] == before[ell][v] for ell, v in pairs)
+        assert is_pmi([[after[ell][v] for ell in leaders] for v in seq.nodes()]).ok
+
+    def test_near_complete_intersection_equals_oracle(self):
+        g, leaders = random_connected_graph(120, 0.9, seed=3), (0, 40, 80, 119)
+        seq = pmi_setup(g, leaders)
+        pairs = [(ell, v) for ell in leaders for v in seq.nodes() if ell != v]
+        assert augment_intersection(g, leaders, seq).edges_after == intersection_oracle(g, pairs)
+
+    def test_peak_memory_at_n_1000(self):
+        g, leaders = path_with_random_chords(1000, 100, 3, seed=0)
+        seq = pmi_setup(g, leaders)
+        tracemalloc.start()
+        try:
+            augment_intersection(g, leaders, seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Measured 14.3 MB: the ~0.5 M missing pairs are 8 MB as two int
+        # arrays, each mask 1-2 MB. One int64 n x n temporary adds 8 MB.
+        assert peak < 17_000_000
 
 
 class TestKirchhoffAfterAugmentation:

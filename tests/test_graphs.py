@@ -15,8 +15,12 @@ from netaug import (
     bfs_distances,
     erdos_renyi,
     generate,
+    is_connected,
+    kirchhoff_index,
     laplacian,
     parse_edge_list,
+    pmi_greedy,
+    validate_ssc_bound,
     write_edge_list,
 )
 from netaug.graphs import DENSE_NODE_GUARD, _edge_arrays, _missing_pairs
@@ -184,9 +188,83 @@ class TestEdgeArrays:
     @example(n=1, p=0.0, seed=0)
     @example(n=9, p=1.0, seed=0)
     def test_equal_sorted_edges(self, n, p, seed):
+        # sorted_edges reads these arrays, so compare with the frozenset itself.
         g = erdos_renyi(GenSpec(model="erdos-renyi", n=n, p=p, seed=seed))
         u, v = _edge_arrays(g)
-        assert list(zip(u.tolist(), v.tolist())) == g.sorted_edges()
+        assert list(zip(u.tolist(), v.tolist())) == sorted(g.edges) == g.sorted_edges()
+
+
+class TestDeferredViews:
+    """``adjacency`` and the edge arrays are built on first use and cached."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.integers(0, 2**32 - 1))
+    def test_adjacency_equals_hand_built_sets(self, n, p, seed):
+        g = erdos_renyi(GenSpec(model="erdos-renyi", n=n, p=p, seed=seed))
+        expected = [set() for _ in range(n)]
+        for u, v in g.edges:
+            expected[u].add(v)
+            expected[v].add(u)
+        assert g.adjacency == expected
+        assert g.adjacency is g.adjacency
+
+    def test_edge_arrays_are_cached_and_read_only(self):
+        g = path_graph(4)
+        u, v = _edge_arrays(g)
+        assert _edge_arrays(g)[0] is u and _edge_arrays(g)[1] is v
+        for array in (u, v):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 3
+        assert g.sorted_edges() == [(0, 1), (1, 2), (2, 3)]
+
+    def test_edge_arrays_beyond_int64_keys(self):
+        # No such graph fits in memory (its constructor holds one slot per
+        # node), so the instance is assembled by hand around a few edges.
+        g = Graph.__new__(Graph)
+        g.n, g._arrays = 2**40, None
+        g.edges = frozenset({(2**39, 2**40 - 1), (1, 2**40 - 1), (1, 2), (0, 2**39)})
+        assert g.sorted_edges() == sorted(g.edges)
+
+    def test_bfs_then_kirchhoff_then_validate_match_fresh_graphs(self):
+        spec = GenSpec(model="erdos-renyi", n=30, p=0.2, seed=4)
+        g, leaders = erdos_renyi(spec), (0, 7, 19)
+        assert is_connected(g)
+        bound = len(pmi_greedy(g, leaders))
+        dist = bfs_distances(g, 5)
+        kirchhoff = kirchhoff_index(g)
+        report = validate_ssc_bound(g, leaders, bound, trials=3)
+        assert dist == bfs_distances(erdos_renyi(spec), 5)
+        assert kirchhoff == kirchhoff_index(erdos_renyi(spec))
+        assert report == validate_ssc_bound(erdos_renyi(spec), leaders, bound, trials=3)
+
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [
+            ([(1, 0), (2, 1), (0, 1)], [(0, 1), (1, 2)]),
+            ([(np.int64(2), np.int64(0))], [(0, 2)]),
+            ([(True, 2)], f"edge endpoint must be an integer, got {True!r}"),
+            ([(0, 1.5)], f"edge endpoint must be an integer, got {1.5!r}"),
+            ([(np.float64(1.0), 2)], f"edge endpoint must be an integer, got {np.float64(1.0)!r}"),
+            ([(1, 1)], "self-loop on node 1 is not allowed"),
+            ([(0, 3)], "edge (0,3) out of range for n=3"),
+            ([(-1, 2)], "edge (-1,2) out of range for n=3"),
+        ],
+        ids=["reversed", "numpy", "bool", "float", "numpy-float", "self-loop", "range", "negative"],
+    )
+    def test_list_and_frozenset_inputs_agree(self, edges, expected):
+        for given_edges in (edges, frozenset(edges)):
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    Graph(3, given_edges)
+                continue
+            g = Graph(3, given_edges)
+            assert g.edges == set(expected) and g.sorted_edges() == expected
+            both_ways = expected + [(b, a) for a, b in expected]
+            assert g.adjacency == [{b for a, b in both_ways if a == u} for u in range(3)]
+
+    def test_float_in_a_collapsed_edge_is_rejected(self):
+        with pytest.raises(ValueError, match="^edge endpoint must be an integer, got 1.0$"):
+            Graph(3, [(1, 2), (1.0, 2)])
 
 
 class TestErdosRenyi:
