@@ -107,15 +107,14 @@ class Graph:
 
     @property
     def adjacency(self) -> list[set[int]]:
-        """The neighbour set of every node, built from the sorted edges on first
-        access and cached; treat it as read-only."""
+        """The neighbour set of every node, built from the sorted edge arrays on
+        first access and cached; treat it as read-only."""
         if self._adjacency is None:
-            adjacency: list[set[int]] = [set() for _ in range(self.n)]
             u, v = _edge_arrays(self)
-            for a, b in zip(u.tolist(), v.tolist()):  # no list of tuples, unlike sorted_edges
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-            self._adjacency = adjacency
+            ends = np.concatenate((u, v))
+            others = np.concatenate((v, u))[np.argsort(ends, kind="stable")].tolist()
+            stops = np.bincount(ends, minlength=self.n).cumsum().tolist()
+            self._adjacency = [set(others[a:b]) for a, b in zip([0, *stops], stops)]
         return self._adjacency
 
     def num_edges(self) -> int:
@@ -142,8 +141,7 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     if g._arrays is None:
         pairs = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
         u, v = pairs.reshape(-1, 2).T
-        # The key u * n + v sorts as (u, v) does while it fits in an int64.
-        order = np.argsort(u * g.n + v) if g.n <= 2**31 else np.lexsort((v, u))
+        order = np.lexsort((v, u))
         u, v = u[order], v[order]
         u.flags.writeable = v.flags.writeable = False
         g._arrays = u, v

@@ -115,10 +115,21 @@ def bfs_oracle(g: Graph, sources) -> dict[int, list]:
 
 def legal_alone_oracle(g: Graph, pairs) -> int:
     """Missing edges that keep every (a, b) distance in ``pairs`` when added
-    alone. A shortest path uses the new edge (x, y) at most once, so the
-    distance becomes ``min(d(a, b), d(a, x) + 1 + d(y, b), d(a, y) + 1 +
-    d(x, b))``; it is read per pair for every missing edge at once from
-    ``bfs_oracle`` distances. The graph must be connected."""
+    alone, by adding each one and recomputing all (min, +) distances."""
+    before = all_pairs_min_plus(g)
+    legal = 0
+    for edge in sorted(complement_edges(g)):
+        after = all_pairs_min_plus(g.add_edges([edge]))
+        legal += all(after[a, b] == before[a, b] for a, b in pairs)
+    return legal
+
+
+def shortcut_legal_oracle(g: Graph, pairs) -> int:
+    """``legal_alone_oracle`` for graphs too large to recompute per edge. A
+    shortest path uses the new edge (x, y) at most once, so the distance
+    becomes ``min(d(a, b), d(a, x) + 1 + d(y, b), d(a, y) + 1 + d(x, b))``;
+    it is read per pair for every missing edge at once from ``bfs_oracle``
+    distances. The graph must be connected."""
     x, y = np.array(sorted(complement_edges(g)), dtype=np.int64).reshape(-1, 2).T
     dist = {
         s: np.array(d, dtype=np.int64)
