@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from operator import lshift
 from typing import Sequence
 
@@ -137,12 +137,13 @@ def level_partition(g: Graph, a: int, b: int) -> tuple[tuple[int, ...], ...]:
 
 
 def build_clique_chain(levels: Sequence[Sequence[int]]) -> frozenset[Edge]:
-    """All within-level plus consecutive-level edges over the levels, which
-    must hold distinct non-negative integer node ids, at most ``DENSE_NODE_GUARD``."""
+    """All within-level plus consecutive-level edges over the levels, which must
+    hold distinct non-negative integer node ids (not bools), at most
+    ``DENSE_NODE_GUARD``."""
     flat = [v for level in levels for v in level]
-    fractional = [v for v in flat if not isinstance(v, Integral)]
-    if fractional:
-        raise ValueError(f"node {fractional[0]!r} is not an integer in the levels")
+    non_integer = [v for v in flat if isinstance(v, bool) or not isinstance(v, Integral)]
+    if non_integer:
+        raise ValueError(f"node {non_integer[0]!r} is not an integer in the levels")
     nodes = np.array(flat, dtype=np.intp)
     ids, counts = np.unique(nodes, return_counts=True)
     bad = ids[(ids < 0) | (counts > 1)]
@@ -461,7 +462,8 @@ def success_probability_bound(
     solution of size ``tau``. The exponent is
     rounded up to an integer, which can only lower the bound (conservative).
     Nondecreasing in ``repetitions``. The three counts must be integers
-    (``ValueError`` for a bool or a fraction).
+    (``ValueError`` for a bool or a fraction) and ``ratio`` a real number
+    (``ValueError`` for a bool or a string).
     """
     total_legal = _integer(total_legal, "total_legal", 1)
     optimal_size = _integer(optimal_size, "optimal_size")
@@ -470,6 +472,8 @@ def success_probability_bound(
         raise ValueError(
             f"optimal_size must satisfy 1 <= tau <= {total_legal}, got {optimal_size}"
         )
+    if isinstance(ratio, bool) or not isinstance(ratio, Real):
+        raise ValueError(f"ratio must be a real number, got {ratio!r}")
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
     exponent = math.ceil(ratio * optimal_size - 1e-9)

@@ -9,10 +9,10 @@ bit-for-bit on any platform.
 one matrix behind both the rank check (random integer weights) and the
 Kirchhoff index (unit weights).
 
-A ``Graph`` checks and stores its edge set only. The views derived from it,
-the sorted edge arrays and the adjacency sets, are built on first use and
-cached on the instance, so a graph that no BFS or matrix ever reads costs one
-pass over its edges.
+A ``Graph`` checks and stores its edge set only, as Python ints, and
+allocates nothing per node. The views derived from it, the sorted edge arrays
+and the adjacency sets, are built on first use and cached on the instance, so
+a graph that no BFS or matrix ever reads costs one pass over its edges.
 """
 
 from __future__ import annotations
@@ -64,9 +64,11 @@ class Graph:
     n : int
         Node count: a positive integer (NumPy integers included, bools not).
     edges : iterable of (int, int)
-        Edge list; reversed duplicates collapse to one edge. Self-loops and
-        endpoints that are out of range or not integers (bools and floats
-        included) raise ``ValueError``.
+        Edge list; reversed duplicates collapse to one edge. Endpoints are
+        stored as ints (NumPy integers included). The first bad edge raises
+        ``ValueError``, which names an endpoint that is not an integer (bools
+        and floats included) before a range error, and a range error before
+        a self-loop. Nothing is allocated per node.
     """
 
     __slots__ = ("n", "edges", "_adjacency", "_arrays")
@@ -78,30 +80,17 @@ class Graph:
         self.n = n
         edge_set: set[Edge] = set()
         add = edge_set.add
-        nodes = [None] * n
-        u = v = 0  # bound for the handler if the first edge does not unpack
-        try:
-            for u, v in edges:
-                if 0 <= u < v < n:
-                    add((u, v))
-                elif 0 <= v < u < n:
-                    add((v, u))
-                elif 0 <= u < n and 0 <= v < n:
-                    raise ValueError(f"self-loop on node {u} is not allowed")
-                else:
-                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-                # Indexing raises TypeError for a float, also one whose edge
-                # collapsed into an equal edge of ints.
-                nodes[u], nodes[v]
-        except TypeError:  # a float or other non-index endpoint
-            _integer(u, "edge endpoint")
-            _integer(v, "edge endpoint")
-            raise
-        # A bool indexes a list, so only a pass over the kept endpoints' types
-        # finds it; it runs once, outside the loop. NumPy integers pass.
-        if set(map(type, chain.from_iterable(edge_set))) - {int}:
-            for endpoint in chain.from_iterable(edge_set):
-                _integer(endpoint, "edge endpoint")
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                u, v = _integer(u, "edge endpoint"), _integer(v, "edge endpoint")
+            if 0 <= u < v < n:
+                add((u, v))
+            elif 0 <= v < u < n:
+                add((v, u))
+            elif 0 <= u < n and 0 <= v < n:
+                raise ValueError(f"self-loop on node {u} is not allowed")
+            else:
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         self.edges = frozenset(edge_set)
         self._adjacency = self._arrays = None
 
@@ -267,11 +256,11 @@ def barabasi_albert(spec: GenSpec) -> Graph:
     """Preferential attachment starting from a complete graph on ``gamma`` nodes.
 
     Each new node attaches to ``gamma`` distinct existing nodes, drawn one at
-    a time proportionally to current degree (uniformly while all degrees are
-    zero). The edge count is therefore always
-    ``gamma*(gamma-1)/2 + (n-gamma)*gamma``. Each pick reads one double from
-    ``rng.random`` against the cumulative weights, as ``rng.choice`` with
-    ``p`` does, or one ``rng.integers`` draw while all weights are zero.
+    a time proportionally to current degree. The edge count is therefore
+    always ``gamma*(gamma-1)/2 + (n-gamma)*gamma``. Each pick reads one double
+    from ``rng.random`` against the cumulative weights, as ``rng.choice`` with
+    ``p`` does. The weights are all zero only for the first new node at
+    ``gamma = 1``, whose one candidate, node 0, is taken without a draw.
     """
     if spec.model != "barabasi-albert":
         raise ValueError(f"spec model is {spec.model!r}, expected 'barabasi-albert'")
@@ -289,9 +278,11 @@ def barabasi_albert(spec: GenSpec) -> Graph:
                 weights[t] = 0.0
             total = weights.sum()
             if total == 0.0:
-                candidates = [u for u in range(new) if u not in targets]
-                pick = int(rng.integers(0, len(candidates)))
-                chosen = candidates[pick]
+                # Only at gamma = 1, new = 1: node 0, of degree 0, is the one
+                # earlier node. For gamma >= 2 every earlier node has degree
+                # >= 1 and at most gamma - 1 of them are already targets, so
+                # there is nothing to draw.
+                chosen = 0
             else:  # rng.choice(new, p=weights / total) without its argument checks
                 cdf = (weights / total).cumsum()
                 cdf /= cdf[-1]
@@ -320,11 +311,12 @@ def laplacian(n: int, u, v, weights) -> np.ndarray:
     exact integer matrix. ``weights`` may also be a 2-D stack, one row of edge
     weights per matrix; the result is then a ``(len(weights), n, n)`` stack, and
     the checks run once for the whole stack. Each node pair must appear at most
-    once; no edges give the zero matrix (or stack). Unequal lengths, endpoint
-    arrays that are not integer, a self-loop, an endpoint outside ``0..n-1`` or
-    a weight that is not positive raise ``ValueError``; guarded to
-    ``n <= DENSE_NODE_GUARD``.
+    once; no edges give the zero matrix (or stack). A node count that is not an
+    integer (bools included), unequal lengths, endpoint arrays that are not
+    integer, a self-loop, an endpoint outside ``0..n-1`` or a weight that is not
+    positive raise ``ValueError``; guarded to ``n <= DENSE_NODE_GUARD``.
     """
+    n = _integer(n, "node count")
     u, v, weights = np.asarray(u), np.asarray(v), np.asarray(weights)
     if not (u.shape == v.shape == weights.shape[-1:] == (u.size,) and weights.ndim <= 2):
         raise ValueError(

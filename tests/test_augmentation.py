@@ -123,7 +123,7 @@ class TestLevelPartition:
         with pytest.raises(ValueError, match=f"node {node} "):
             build_clique_chain(levels)
 
-    @pytest.mark.parametrize("node", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("node", [2.5, 2.0, "2", None, True])
     def test_chain_rejects_non_integer_node(self, node):
         with pytest.raises(ValueError, match=f"node {node!r} is not an integer"):
             build_clique_chain(((0,), (node,)))
@@ -814,6 +814,11 @@ class TestSuccessProbabilityBound:
         args[position] = value
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             success_probability_bound(*args)
+
+    @pytest.mark.parametrize("ratio", [True, "0.5", None])
+    def test_ratio_must_be_a_real_number(self, ratio):
+        with pytest.raises(ValueError, match=f"^ratio must be a real number, got {ratio!r}$"):
+            success_probability_bound(10, 5, ratio, 3)
 
 
 class TestResultSerialization:

@@ -72,6 +72,10 @@ class TestGraphConstruction:
     def test_numpy_integer_endpoints(self):
         g = Graph(3, [(np.int64(2), np.int64(1)), (1, 2)])
         assert g.edges == {(1, 2)} and g.adjacency == [set(), {2}, {1}]
+        assert {type(endpoint) for edge in g.edges for endpoint in edge} == {int}
+
+    def test_nothing_is_allocated_per_node(self):
+        assert Graph(2**40).num_edges() == 0
 
     @pytest.mark.parametrize(
         "edges, bad",
@@ -83,6 +87,8 @@ class TestGraphConstruction:
             ([(0, 1), (np.float64(1.0), 2)], np.float64(1.0)),
             ([(0, "1")], "1"),
             ([(None, 1)], None),
+            ([(0, 5.5)], 5.5),
+            ([(True, 9)], True),
         ],
     )
     def test_rejects_non_integer_endpoint(self, edges, bad):
@@ -459,10 +465,16 @@ class TestLaplacian:
         with pytest.raises(ValueError, match=match):
             laplacian(3, u, v, [1.0])
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_node_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"^node count must be an integer, got {n!r}$"):
+            laplacian(n, [0], [1], [1.0])
+
     def test_empty_edge_lists_give_zero_matrices(self):
         # np.asarray([]) is float64, which cannot index.
         assert laplacian(1, [], [], []).tolist() == [[0.0]]
         assert laplacian(3, [], [], np.ones((2, 0))).tolist() == [np.zeros((3, 3)).tolist()] * 2
+        assert laplacian(0, [], [], []).shape == (0, 0)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
