@@ -235,7 +235,8 @@ def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
 
 
 def _instance(g: Graph, leaders: Sequence[int], pmi: PMISequence) -> tuple[np.ndarray, np.ndarray]:
-    """Check the PMI sequence against the graph, once per augmenter call.
+    """Match each vector of the PMI sequence, which checked its own witnesses,
+    against its node's leader distances, once per augmenter call.
 
     Returns ``at[z, i] = d(s_i, z)`` over the sources ordered monitored (PMI)
     non-leaders, monitored leaders, other leaders, and ``floor[j, k] = d(l_k,
@@ -247,28 +248,14 @@ def _instance(g: Graph, leaders: Sequence[int], pmi: PMISequence) -> tuple[np.nd
     leaders = _check_leaders(g.n, leaders)
     nodes, led = set(pmi.nodes()), set(leaders)
     sources = sorted(nodes - led) + sorted(nodes & led) + sorted(led - nodes)
-    # bfs_distances rejects out-of-range nodes; the witness pass rejects a
-    # repeated node, whose two equal vectors admit no witness.
+    # bfs_distances rejects out-of-range nodes; PMISequence rejects a repeated
+    # node, whose two equal vectors admit no witness.
     at = _checked_distances(g, sources).T
     by_leader = at[:, [sources.index(ell) for ell in leaders]]
-    for dv in pmi.vectors:
-        actual = tuple(by_leader[dv.node].tolist())
-        if dv.dist != actual:
-            raise ValueError(
-                f"PMI vector for node {dv.node} does not match the graph: "
-                f"{dv.dist} vs {actual}"
-            )
-    if len(pmi.witnesses) != len(pmi.vectors):
-        raise ValueError(
-            f"PMI sequence has {len(pmi.vectors)} vectors but {len(pmi.witnesses)} witnesses"
-        )
-    mins = [float("inf")] * len(leaders)  # componentwise minimum of the later vectors
-    for dv, w in zip(reversed(pmi.vectors), reversed(pmi.witnesses)):
-        if not 0 <= w < len(leaders):
-            raise ValueError(f"PMI witness {w} for node {dv.node} is outside 0..{len(leaders) - 1}")
-        if not dv.dist[w] < mins[w]:
-            raise ValueError(f"PMI witness {w} for node {dv.node} does not hold")
-        mins = list(map(min, mins, dv.dist))
+    for node, dist in zip(pmi.nodes(), pmi.raw_vectors()):
+        actual = tuple(by_leader[node].tolist())
+        if dist != actual:
+            raise ValueError(f"PMI vector for node {node} does not match the graph: {dist} vs {actual}")
     return at, at[sources[: len(nodes)], len(sources) - len(led):]
 
 

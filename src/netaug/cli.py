@@ -21,7 +21,7 @@ from .augmentation import augment_intersection, augment_randomized
 from .controllability import PMISequence, pmi_exact, pmi_greedy, validate_ssc_bound
 from .experiments import ExperimentConfig, aggregates_to_csv, records_to_csv, run_experiment
 from .errors import DisconnectedGraphError
-from .graphs import GenSpec, Graph, _edge_lines, _guard_dense, generate, write_edge_list
+from .graphs import GenSpec, Graph, _guard_dense, generate, parse_edge_list, write_edge_list
 
 _MODEL_ALIASES = {
     "er": "erdos-renyi",
@@ -41,15 +41,15 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _read_graph(path: str, guard: str | None = None) -> Graph:
     """The graph in ``path``, connected as every command needs: a header counting
-    more nodes than its edge lines can connect is refused before any per-node
+    more nodes than its distinct edges can connect is refused before any per-node
     allocation, after the size guard named by ``guard`` if the caller has one."""
     with open(path, "r", encoding="utf-8") as handle:
-        n, edges = _edge_lines(handle.read())
+        g = parse_edge_list(handle.read())
     if guard is not None:
-        _guard_dense(n, guard)
-    if n > len(edges) + 1:
-        raise DisconnectedGraphError(f"{path}: {len(edges)} edge lines cannot connect n={n}")
-    return Graph(n, edges)
+        _guard_dense(g.n, guard)
+    if g.n > g.num_edges() + 1:
+        raise DisconnectedGraphError(f"{path}: {g.num_edges()} distinct edges cannot connect n={g.n}")
+    return g
 
 
 def _read_json(path: str, loader):
@@ -111,10 +111,9 @@ def _augment_json(result, include_runtime: bool) -> str:
 
 
 def _cmd_augment(args) -> int:
+    seq = None if args.pmi is None else _read_json(args.pmi, PMISequence.from_json)
     graph = _read_graph(args.graph, guard="edge augmentation")
-    if args.pmi is not None:
-        seq = _read_json(args.pmi, PMISequence.from_json)
-    else:
+    if seq is None:
         seq = _pmi_for(graph, args.leaders, args.pmi_method)
     if args.algorithm == "intersect":
         result = augment_intersection(graph, args.leaders, seq)

@@ -12,7 +12,7 @@ suffix iff one of its coordinates is strictly below the suffix's
 componentwise minimum, and the first such coordinate is its witness.
 ``is_pmi`` is one backward pass over suffix minima, ``pmi_exact`` memoizes its
 search on the minimum, and ``pmi_greedy`` is one pass over the vectors sorted
-by their smallest entry.
+by their smallest entry. A ``PMISequence`` checks its witnesses by this rule.
 """
 
 from __future__ import annotations
@@ -67,11 +67,28 @@ class PMISequence:
     """An ordered run of distance vectors with one witness coordinate each.
 
     ``witnesses[i]`` is the (0-based) coordinate on which every later vector
-    strictly exceeds ``vectors[i]``.
+    strictly exceeds ``vectors[i]``. Construction checks this in one backward
+    pass; unequal counts or vector lengths, or a witness outside ``0..L-1`` or
+    one that does not hold, raise ``ValueError``.
     """
 
     vectors: tuple[DistanceVector, ...]
     witnesses: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.witnesses) != len(self.vectors):
+            raise ValueError(
+                f"PMI sequence has {len(self.vectors)} vectors but {len(self.witnesses)} witnesses"
+            )
+        mins = [float("inf")] * len(self.vectors[0].dist if self.vectors else ())
+        for dv, w in zip(reversed(self.vectors), reversed(self.witnesses)):
+            if len(dv.dist) != len(mins):
+                raise ValueError("all vectors must have the same length")
+            if not 0 <= w < len(mins):
+                raise ValueError(f"PMI witness {w} for node {dv.node} is outside 0..{len(mins) - 1}")
+            if not dv.dist[w] < mins[w]:
+                raise ValueError(f"PMI witness {w} for node {dv.node} does not hold")
+            mins = list(map(min, mins, dv.dist))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -165,11 +182,11 @@ def is_pmi(vectors: Sequence[Sequence[int]]) -> PMICheck:
     return PMICheck(ok=False, violation=(i, blocker))
 
 
-def _distinct_vectors(g: Graph, leaders: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """Map each distinct distance vector to its smallest node id."""
+def _distinct_vectors(g: Graph, leaders: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Map each distinct distance vector to its smallest node id (``leaders`` checked)."""
     rep: dict[tuple[int, ...], int] = {}
-    for dv in distance_to_leader_vectors(g, leaders):  # in node order
-        rep.setdefault(dv.dist, dv.node)
+    for node, dist in enumerate(_checked_distances(g, leaders).T.tolist()):
+        rep.setdefault(tuple(dist), node)
     return rep
 
 
@@ -507,10 +524,12 @@ def kirchhoff_index(g: Graph) -> float:
     """Sum of reciprocals of the nonzero eigenvalues of the unweighted Laplacian.
 
     Lower is more robust; adding any edge to a connected graph strictly
-    decreases it. Needs a connected graph with at most ``DENSE_NODE_GUARD`` nodes.
+    decreases it. Needs a connected graph with at most ``DENSE_NODE_GUARD`` nodes;
+    connectivity is read from the spectrum, so it is refused after the eigensolver.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("Kirchhoff index needs a connected graph")
     u, v = _edge_arrays(g)
     eigenvalues = np.linalg.eigvalsh(laplacian(g.n, u, v, np.ones(u.size)))
+    # lambda_2 is 0 if disconnected, else >= 2 - 2cos(pi/n) > 1/n^2 (Fiedler; paths attain it).
+    if g.n > 1 and eigenvalues[1] < 1 / g.n**2:
+        raise DisconnectedGraphError("Kirchhoff index needs a connected graph")
     return float(np.sum(1.0 / eigenvalues[1:]))

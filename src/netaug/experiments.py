@@ -45,6 +45,8 @@ class ExperimentConfig:
     a number (``1`` and ``1.0`` are one cell), which would rerun the same
     trials. Every setting is checked at construction, the grid values by the
     ``GenSpec`` each trial draws from; any bad value raises ``ValueError``.
+    NumPy scalars are stored as the Python numbers they hold (``.item()``), so
+    a config reproduces the trial seeds, CSV and JSON of its JSON form.
     Defaults are desk scale; the paper-scale study sets ``instances`` to 100
     and ``repetitions`` to 150.
     """
@@ -72,9 +74,16 @@ class ExperimentConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"{name} repeats the value {repeated[0]!r}")
-        _integer(self.instances, "instances", 1)
-        _integer(self.repetitions, "repetitions", 1)
-        _integer(self.master_seed, "master_seed")
+        numbers = {
+            "n": int(self.n),  # checked by GenSpec
+            "parameters": tuple(v.item() if isinstance(v, np.generic) else v for v in self.parameters),
+            "leader_counts": tuple(map(int, self.leader_counts)),
+            "instances": _integer(self.instances, "instances", 1),
+            "repetitions": _integer(self.repetitions, "repetitions", 1),
+            "master_seed": _integer(self.master_seed, "master_seed"),
+        }
+        for name, value in numbers.items():
+            object.__setattr__(self, name, value)
         if not isinstance(self.measure_runtime, bool):
             raise ValueError(
                 f"measure_runtime must be true or false, got {self.measure_runtime!r}"

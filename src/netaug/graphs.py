@@ -362,14 +362,9 @@ def parse_edge_list(text: str) -> Graph:
 
     Reversed and duplicate pairs collapse to a single edge. Self-loops,
     out-of-range ids and malformed tokens raise ``EdgeListParseError`` with
-    the 1-based line number.
+    the 1-based line number. Like every ``Graph``, the result allocates
+    nothing per node, so a caller can size-check ``n`` after parsing.
     """
-    return Graph(*_edge_lines(text))
-
-
-def _edge_lines(text: str) -> tuple[int, list[Edge]]:
-    """The header's node count and the edge pairs, with the checks that
-    ``parse_edge_list`` documents; nothing is allocated per node."""
     lines = text.splitlines()
     if not lines:
         raise EdgeListParseError(1, "empty input, expected header 'n <count>'")
@@ -398,7 +393,7 @@ def _edge_lines(text: str) -> tuple[int, list[Edge]]:
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(i, f"node id out of range for n={n}: {line!r}")
         edges.append((u, v))
-    return n, edges
+    return Graph(n, edges)
 
 
 def write_edge_list(g: Graph) -> str:

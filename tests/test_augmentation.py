@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -368,8 +369,9 @@ class TestIntersection:
     def test_invalid_pmi_rejected(self):
         g = path_graph(4)
         wrong_leader = pmi_setup(g, (3,))  # vectors do not match leader 0 distances
-        with pytest.raises(ValueError, match="does not match"):
-            augment_intersection(g, (0,), wrong_leader)
+        for run in (augment_intersection, augment_randomized, addable_edge_upper_bound):
+            with pytest.raises(ValueError, match="does not match"):
+                run(g, (0,), wrong_leader)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -385,13 +387,21 @@ class TestIntersection:
         ids=["out-of-range", "false", "repeated-node", "count"],
     )
     def test_carried_witnesses_checked(self, edit, message):
-        g, leaders = path_graph(4), (0, 3)
-        seq = pmi_setup(g, leaders)
+        # A sequence checks its witnesses when it is built, so no augmenter sees a bad one.
+        seq = pmi_setup(path_graph(4), (0, 3))
         assert (seq.nodes(), seq.witnesses) == ((0, 3, 1, 2), (0, 1, 0, 1))
-        bad = PMISequence(*edit(seq))
-        for run in (augment_intersection, augment_randomized, addable_edge_upper_bound):
+        vectors, witnesses = edit(seq)
+        builds = [
+            lambda: PMISequence(vectors, witnesses),
+            lambda: dataclasses.replace(seq, vectors=vectors, witnesses=witnesses),
+        ]
+        if len(vectors) == len(witnesses):  # a JSON entry carries its own witness
+            items = [{"node": dv.node, "vector": list(dv.dist), "witness": w}
+                     for dv, w in zip(vectors, witnesses)]
+            builds.append(lambda: PMISequence.from_json(items))
+        for build in builds:
             with pytest.raises(ValueError, match=message):
-                run(g, leaders, bad)
+                build()
 
 
 class TestRandomized:

@@ -361,6 +361,17 @@ class TestExitCodes:
         assert err.startswith(f"error: {pmi_file}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["pmi", "augment", "validate"])
+    def test_duplicate_lines_counted_once(self, tmp_path, capsys, command):
+        # Three edge lines but one distinct edge: too few to connect four nodes.
+        path = tmp_path / "dup.txt"
+        path.write_text("n 4\n0 1\n1 0\n0 1\n")
+        out = tmp_path / "out.json"
+        assert cli([command, "-g", str(path), "--leaders", "0", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: 1 distinct edges cannot connect n=4\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pmi", "augment", "validate"])
     def test_header_above_edge_lines_is_domain_error(self, tmp_path, command):
         # Ten to the eleven adjacency sets would exhaust the memory; a 2 GB
         # address-space cap makes an unchecked header fail fast instead.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from netaug import (
     DisconnectedGraphError,
+    DistanceVector,
     GenSpec,
     Graph,
     PMISequence,
@@ -197,6 +198,12 @@ class TestPMIGreedy:
     def test_json_round_trip(self):
         seq = pmi_greedy(path_graph(4), (0, 3))
         assert PMISequence.from_json(seq.to_json()) == seq
+
+    def test_ragged_vectors_rejected(self):
+        ragged = (DistanceVector(0, (0, 2)), DistanceVector(1, (1,)))
+        with pytest.raises(ValueError, match="all vectors must have the same length"):
+            PMISequence(ragged, (0, 0))
+        assert len(PMISequence((), ())) == 0
 
     @pytest.mark.parametrize(
         "entry, field",
@@ -665,6 +672,23 @@ class TestKirchhoffIndex:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             kirchhoff_index(Graph(3, [(0, 1)]))
+
+    def test_long_path_closed_form(self):
+        # The path has the smallest lambda_2 of any connected graph on n nodes.
+        n = 1000
+        assert kirchhoff_index(path_graph(n)) == pytest.approx((n * n - 1) / 6, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(1000, [(i, i + 1) for i in range(999) if i != 499]),
+            Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        ],
+        ids=["two-500-node-paths", "isolated-node"],
+    )
+    def test_disconnected_spectrum_rejected(self, g):
+        with pytest.raises(DisconnectedGraphError, match="Kirchhoff index needs a connected graph"):
+            kirchhoff_index(g)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):

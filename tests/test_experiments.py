@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import re
 
+import numpy as np
 import pytest
 
 from netaug import (
@@ -133,6 +135,25 @@ class TestConfig:
         data[field] = values
         with pytest.raises(ValueError, match=f"{field} repeats the value {repeated}$"):
             ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize(
+        "model, parameter, numpy_parameter",
+        [("erdos-renyi", 0.3, np.float64(0.3)), ("barabasi-albert", 2, np.int64(2))],
+    )
+    def test_numpy_scalars_reproduce_python_numbers(self, model, parameter, numpy_parameter):
+        # trial_seed hashes the repr, which differs for NumPy scalars (np.float64(0.3)).
+        counts = dict(n=10, leader_counts=(2,), instances=2, repetitions=2, master_seed=7)
+        plain = small_config(model=model, parameters=(parameter,), **counts)
+        numpy = small_config(
+            model=model, parameters=(numpy_parameter,), **{
+                name: tuple(map(np.int64, value)) if isinstance(value, tuple) else np.int64(value)
+                for name, value in counts.items()
+            }
+        )
+        (records, aggregates), (plain_records, plain_aggregates) = map(run_experiment, (numpy, plain))
+        assert records_to_csv(records) == records_to_csv(plain_records)
+        assert aggregates_to_csv(aggregates) == aggregates_to_csv(plain_aggregates)
+        assert json.dumps(numpy.to_json()) == json.dumps(plain.to_json())
 
     def test_json_integral_float_count_accepted(self):
         config = ExperimentConfig.from_json(
