@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Integral, Real
 from operator import lshift
 from typing import Sequence
@@ -81,11 +82,18 @@ class AugmentationResult:
             "c": self.repetitions,
             "edges_before": len(self.edges_before),
             "edges_after": len(self.edges_after),
-            "added_edges": [list(e) for e in sorted(self.added)],
+            "added_edges": _sorted_pairs(self.added).tolist(),
             "upper_bound": self.upper_bound_addable,
             "pmi_length": self.pmi_length,
             "runtime_ms": self.runtime_ms if include_runtime else 0.0,
         }
+
+
+def _sorted_pairs(edges: frozenset[Edge]) -> np.ndarray:
+    """The int pairs of ``edges`` as a (k, 2) int array in sorted order."""
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
+    pairs = flat.reshape(-1, 2)
+    return pairs[np.lexsort(pairs.T[::-1])]
 
 
 def _pair_distances(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -407,7 +415,7 @@ def augment_randomized(
                 if d + 1 < caps[i]:
                     # Only a node below cap - 1 can lower a neighbour.
                     if adj is None:
-                        adj = [set(s) for s in g.adjacency]
+                        adj = list(map(set, g._neighbours))
                     for u, v in added[synced:]:
                         adj[u].add(v)
                         adj[v].add(u)

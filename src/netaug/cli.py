@@ -15,9 +15,8 @@ import dataclasses
 import functools
 import json
 import sys
-from itertools import chain
 
-from .augmentation import augment_intersection, augment_randomized
+from .augmentation import _sorted_pairs, augment_intersection, augment_randomized
 from .controllability import PMISequence, pmi_exact, pmi_greedy, validate_ssc_bound
 from .experiments import ExperimentConfig, aggregates_to_csv, records_to_csv, run_experiment
 from .errors import DisconnectedGraphError
@@ -98,14 +97,15 @@ def _augment_json(result, include_runtime: bool) -> str:
     """``json.dumps(result.to_json(include_runtime), indent=2)`` and a newline.
 
     The generic encoder takes tens of milliseconds on an edge list of ~17k
-    pairs. The rest of the result is encoded with no edges; the sorted edges
-    are rendered by one ``%`` over a repeated template and spliced in.
+    pairs. The rest of the result is encoded with no edges; the added pairs,
+    sorted as one int array, are rendered by one ``%`` over a repeated
+    template and spliced in.
     """
     data = dataclasses.replace(result, added=frozenset()).to_json(include_runtime)
     text = json.dumps(data, indent=2)
     if result.added:
-        edges = sorted(result.added)
-        body = ",\n".join([_EDGE_ITEM] * len(edges)) % tuple(chain.from_iterable(edges))
+        flat = _sorted_pairs(result.added).ravel().tolist()
+        body = ",\n".join([_EDGE_ITEM] * len(result.added)) % tuple(flat)
         text = text.replace('"added_edges": []', f'"added_edges": [\n{body}\n  ]', 1)
     return text + "\n"
 

@@ -68,8 +68,9 @@ class PMISequence:
 
     ``witnesses[i]`` is the (0-based) coordinate on which every later vector
     strictly exceeds ``vectors[i]``. Construction checks this in one backward
-    pass; unequal counts or vector lengths, or a witness outside ``0..L-1`` or
-    one that does not hold, raise ``ValueError``.
+    pass; unequal counts or vector lengths, or a witness that is not an integer
+    (bools and floats included, NumPy integers stored as ints), lies outside
+    ``0..L-1`` or does not hold, raise ``ValueError``.
     """
 
     vectors: tuple[DistanceVector, ...]
@@ -80,8 +81,10 @@ class PMISequence:
             raise ValueError(
                 f"PMI sequence has {len(self.vectors)} vectors but {len(self.witnesses)} witnesses"
             )
+        witnesses = tuple(_integer(w, "witness") for w in self.witnesses)
+        object.__setattr__(self, "witnesses", witnesses)
         mins = [float("inf")] * len(self.vectors[0].dist if self.vectors else ())
-        for dv, w in zip(reversed(self.vectors), reversed(self.witnesses)):
+        for dv, w in zip(reversed(self.vectors), reversed(witnesses)):
             if len(dv.dist) != len(mins):
                 raise ValueError("all vectors must have the same length")
             if not 0 <= w < len(mins):

@@ -74,13 +74,15 @@ class ExperimentConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"{name} repeats the value {repeated[0]!r}")
+        plain = lambda v: v.item() if isinstance(v, np.generic) else v
         numbers = {
             "n": int(self.n),  # checked by GenSpec
-            "parameters": tuple(v.item() if isinstance(v, np.generic) else v for v in self.parameters),
+            "parameters": tuple(map(plain, self.parameters)),
             "leader_counts": tuple(map(int, self.leader_counts)),
             "instances": _integer(self.instances, "instances", 1),
             "repetitions": _integer(self.repetitions, "repetitions", 1),
             "master_seed": _integer(self.master_seed, "master_seed"),
+            "measure_runtime": plain(self.measure_runtime),
         }
         for name, value in numbers.items():
             object.__setattr__(self, name, value)

@@ -9,16 +9,17 @@ bit-for-bit on any platform.
 one matrix behind both the rank check (random integer weights) and the
 Kirchhoff index (unit weights).
 
-A ``Graph`` checks and stores its edge set only, as Python ints, and
-allocates nothing per node. The views derived from it, the sorted edge arrays
-and the adjacency sets, are built on first use and cached on the instance, so
-a graph that no BFS or matrix ever reads costs one pass over its edges.
+A ``Graph`` stores its edge set only, as two sorted, read-only int arrays
+``u < v``, checked and built in one bulk pass, and allocates nothing per node.
+Every layer reads those arrays; the frozenset of edges, the neighbour lists
+behind BFS and the adjacency sets are built from them on first use and cached
+on the instance.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from numbers import Integral, Real
 
@@ -54,10 +55,10 @@ class Graph:
     """Simple undirected graph on nodes ``0..n-1``.
 
     Instances are immutable by convention: build once, then share freely.
-    ``add_edges`` returns a new graph instead of mutating. ``adjacency`` and
-    the sorted edge arrays are built from ``edges`` on first use and cached;
-    they derive from the immutable edge set, so caching them changes nothing
-    a caller sees.
+    ``add_edges`` returns a new graph instead of mutating. The edge set is
+    stored as two sorted, read-only int arrays ``u < v``; ``edges``,
+    ``adjacency`` and the neighbour lists behind BFS are views built from them
+    on first access and cached, so caching them changes nothing a caller sees.
 
     Parameters
     ----------
@@ -65,75 +66,99 @@ class Graph:
         Node count: a positive integer (NumPy integers included, bools not).
     edges : iterable of (int, int)
         Edge list; reversed duplicates collapse to one edge. Endpoints are
-        stored as ints (NumPy integers included). The first bad edge raises
-        ``ValueError``, which names an endpoint that is not an integer (bools
-        and floats included) before a range error, and a range error before
-        a self-loop. Nothing is allocated per node.
+        integers (NumPy integers included). The first bad edge raises
+        ``ValueError``: an endpoint that is not an integer (bools and floats
+        included) is named before a range error, and a range error comes
+        before a self-loop; an edge that is not a pair raises what unpacking
+        it raises. Ids are stored as intp: one beyond it is out of range, or
+        raises ``OverflowError`` if n is beyond intp too. Nothing is
+        allocated per node.
     """
-
-    __slots__ = ("n", "edges", "_adjacency", "_arrays")
 
     def __init__(self, n: int, edges=()):
         n = _integer(n, "node count")
         if n <= 0:
             raise ValueError(f"node count must be positive, got {n}")
         self.n = n
-        edge_set: set[Edge] = set()
-        add = edge_set.add
-        for u, v in edges:
-            if type(u) is not int or type(v) is not int:
-                u, v = _integer(u, "edge endpoint"), _integer(v, "edge endpoint")
-            if 0 <= u < v < n:
-                add((u, v))
-            elif 0 <= v < u < n:
-                add((v, u))
-            elif 0 <= u < n and 0 <= v < n:
-                raise ValueError(f"self-loop on node {u} is not allowed")
-            else:
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        self.edges = frozenset(edge_set)
-        self._adjacency = self._arrays = None
+        # Each check runs in bulk over the edges ahead of the first bad one found
+        # so far (``stop``), so the last one found is the first bad edge.
+        pairs = list(edges)
+        stop = len(pairs)
+        try:
+            us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+        except (TypeError, ValueError):  # some edge is not a pair
+            stop = next(i for i, e in enumerate(pairs) if not hasattr(e, "__len__") or len(e) != 2)
+            us, vs = [u for u, _ in pairs[:stop]], [v for _, v in pairs[:stop]]
+        kinds = set(map(type, us)) | set(map(type, vs))
+        bad = {t for t in kinds - {int} if issubclass(t, bool) or not issubclass(t, Integral)}
+        if bad:
+            stop = next(i for i, e in enumerate(zip(us, vs)) if not bad.isdisjoint(map(type, e)))
+            us, vs = us[:stop], vs[:stop]
+        try:
+            x, y = (np.fromiter(w, dtype=np.intp, count=len(w)) for w in (us, vs))
+        except OverflowError:  # an endpoint beyond intp: out of range unless n is too
+            stop = next((i for i, e in enumerate(zip(us, vs)) if not 0 <= min(e) <= max(e) < n), None)
+            if stop is None:
+                raise
+            x, y = (np.fromiter(w[:stop], dtype=np.intp, count=stop) for w in (us, vs))
+        u, v = np.minimum(x, y), np.maximum(x, y)
+        wrong = np.flatnonzero((u < 0) | (v >= n) | (u == v))
+        if wrong.size:
+            stop = int(wrong[0])
+        if stop < len(pairs):  # word the first bad edge: its type, then its range, then a loop
+            a, b = pairs[stop]
+            a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            raise ValueError(f"self-loop on node {a} is not allowed")
+        order = np.lexsort((v, u))
+        u, v = u[order], v[order]
+        new = np.ones(u.size, dtype=bool)
+        new[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        u, v = u[new], v[new]
+        u.flags.writeable = v.flags.writeable = False
+        self._arrays = u, v
 
-    @property
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The edge set as int pairs ``(u, v)``, ``u < v``, built on first access."""
+        return frozenset(self.sorted_edges())
+
+    @cached_property
     def adjacency(self) -> list[set[int]]:
-        """The neighbour set of every node, built from the sorted edge arrays on
-        first access and cached; treat it as read-only."""
-        if self._adjacency is None:
-            u, v = _edge_arrays(self)
-            ends = np.concatenate((u, v))
-            others = np.concatenate((v, u))[np.argsort(ends, kind="stable")].tolist()
-            stops = np.bincount(ends, minlength=self.n).cumsum().tolist()
-            self._adjacency = [set(others[a:b]) for a, b in zip([0, *stops], stops)]
-        return self._adjacency
+        """The neighbour set of every node, built on first access; treat it as read-only."""
+        return list(map(set, self._neighbours))
+
+    @cached_property
+    def _neighbours(self) -> list[list[int]]:
+        """The neighbour list of every node, cut from the sorted edge arrays; BFS reads it."""
+        u, v = self._arrays
+        ends = np.concatenate((u, v))
+        others = np.concatenate((v, u))[np.argsort(ends, kind="stable")].tolist()
+        stops = np.bincount(ends, minlength=self.n).cumsum().tolist()
+        return [others[a:b] for a, b in zip([0, *stops], stops)]
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self._arrays[0].size
 
     def sorted_edges(self) -> list[Edge]:
-        u, v = _edge_arrays(self)
+        u, v = self._arrays
         return list(zip(u.tolist(), v.tolist()))
 
     def add_edges(self, extra) -> "Graph":
         """Return a new graph with ``extra`` edges added (duplicates ignored)."""
-        return Graph(self.n, chain(self.edges, extra))
+        return Graph(self.n, chain(self.sorted_edges(), extra))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and all(
+            map(np.array_equal, self._arrays, other._arrays))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges()})"
 
 
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The edges as two read-only int arrays ``u < v`` in sorted order, built on
-    first use and cached on the graph."""
-    if g._arrays is None:
-        pairs = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
-        u, v = pairs.reshape(-1, 2).T
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        u.flags.writeable = v.flags.writeable = False
-        g._arrays = u, v
+    """The edges as two read-only int arrays ``u < v`` in sorted order."""
     return g._arrays
 
 
@@ -149,14 +174,12 @@ def bfs_distances(g: Graph, source: int) -> list[int | None]:
         raise ValueError(f"source {source} out of range for n={g.n}")
     dist: list[int | None] = [None] * g.n
     dist[source] = 0
-    adjacency = g.adjacency
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in adjacency[u]:
+    neighbours, queue = g._neighbours, [source]
+    for u in queue:
+        du = dist[u] + 1
+        for w in neighbours[u]:
             if dist[w] is None:
-                dist[w] = du + 1
+                dist[w] = du
                 queue.append(w)
     return dist
 
@@ -362,8 +385,10 @@ def parse_edge_list(text: str) -> Graph:
 
     Reversed and duplicate pairs collapse to a single edge. Self-loops,
     out-of-range ids and malformed tokens raise ``EdgeListParseError`` with
-    the 1-based line number. Like every ``Graph``, the result allocates
-    nothing per node, so a caller can size-check ``n`` after parsing.
+    the 1-based line number of the first bad line, which is looked for only
+    after the bulk checks (every token at once, then ``Graph``'s) fail. Like
+    every ``Graph``, the result allocates nothing per node, so a caller can
+    size-check ``n`` after parsing.
     """
     lines = text.splitlines()
     if not lines:
@@ -377,8 +402,13 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(1, f"node count is not an integer: {header[1]!r}") from None
     if n <= 0:
         raise EdgeListParseError(1, f"node count must be positive, got {n}")
-    edges: list[Edge] = []
-    for i, line in enumerate(lines[1:], start=2):
+    try:  # every token at once, then Graph's checks; only a bad line fails them
+        if set(map(len, map(str.split, lines[1:]))) <= {0, 2}:
+            ends = list(map(int, text.split()[2:]))
+            return Graph(n, zip(ends[::2], ends[1::2]))
+    except ValueError:
+        pass
+    for i, line in enumerate(lines[1:], start=2):  # name the first bad line
         if not line.strip():
             continue
         tokens = line.split()
@@ -392,12 +422,10 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(i, f"self-loop on node {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(i, f"node id out of range for n={n}: {line!r}")
-        edges.append((u, v))
-    return Graph(n, edges)
+    raise AssertionError("the edge checks refused an edge list whose lines all pass")
 
 
 def write_edge_list(g: Graph) -> str:
     """Inverse of ``parse_edge_list``: header line then sorted ``u v`` lines."""
-    out = [f"n {g.n}"]
-    out.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(out) + "\n"
+    u, v = _edge_arrays(g)
+    return f"n {g.n}\n" + ("%d %d\n" * u.size) % tuple(np.column_stack((u, v)).ravel().tolist())

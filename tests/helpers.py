@@ -6,8 +6,8 @@ sorted pass, per-coordinate scans vs suffix minima, a MILP optimum vs clique
 chains and greedy scans, pseudo-inverse resistances vs eigenvalue sums,
 rational elimination vs modular Krylov blocks, Python pair lists and
 ``rng.choice`` vs array draws, frontier sets over edge lists vs cached
-adjacency sets) so they can catch bugs in the implementations
-they check.
+adjacency sets, a per-edge check vs bulk masks over all edges) so they
+can catch bugs in the implementations they check.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from netaug import (
     DistanceVector,
+    EdgeListParseError,
     GenSpec,
     Graph,
     PMICheck,
@@ -26,6 +27,7 @@ from netaug import (
     erdos_renyi,
     is_connected,
 )
+from netaug.graphs import _integer
 
 
 def reference_erdos_renyi(spec: GenSpec) -> Graph:
@@ -63,6 +65,50 @@ def reference_barabasi_albert(spec: GenSpec) -> Graph:
             degree[t] += 1
         degree[new] = gamma
     return Graph(spec.n, edges)
+
+
+def reference_graph_edges(n: int, edges) -> frozenset:
+    """The edge set ``Graph(n, edges)`` stores, by one check per edge in list
+    order: unpack the pair, check each endpoint's type, then its range, then
+    the self-loop. The first bad edge raises what ``Graph`` must raise. ``n``
+    must be a valid node count."""
+    edge_set = set()
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            u, v = _integer(u, "edge endpoint"), _integer(v, "edge endpoint")
+        if 0 <= u < v < n:
+            edge_set.add((u, v))
+        elif 0 <= v < u < n:
+            edge_set.add((v, u))
+        elif 0 <= u < n and 0 <= v < n:
+            raise ValueError(f"self-loop on node {u} is not allowed")
+        else:
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    return frozenset(edge_set)
+
+
+def reference_edge_list(text: str) -> tuple[int, frozenset]:
+    """``(n, edges)`` of an edge-list body by one check per line, in line order:
+    token count, tokens, self-loop, range; the first bad line raises what
+    ``parse_edge_list`` must raise. The header must be valid."""
+    lines = text.splitlines()
+    n, edges = int(lines[0].split()[1]), set()
+    for i, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise EdgeListParseError(i, f"expected 'u v', got {line!r}")
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListParseError(i, f"malformed token in {line!r}") from None
+        if u == v:
+            raise EdgeListParseError(i, f"self-loop on node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeListParseError(i, f"node id out of range for n={n}: {line!r}")
+        edges.add((min(u, v), max(u, v)))
+    return n, frozenset(edges)
 
 
 def complement_edges(g: Graph) -> set[tuple[int, int]]:

@@ -852,3 +852,23 @@ class TestResultSerialization:
         assert data["edges_before"] == 4
         assert res.to_json(include_runtime=True)["runtime_ms"] >= 0.0
         assert data["added_edges"] == sorted(data["added_edges"])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_edge_fields_are_frozensets_matching_the_json(self, seed):
+        g, leaders = random_connected_graph(14, 0.3, seed=seed), (0, 13)
+        seq = pmi_setup(g, leaders)
+        for res in (
+            augment_pair(g, *leaders),
+            augment_intersection(g, leaders, seq),
+            augment_randomized(g, leaders, seq, seed=seed, repetitions=3),
+        ):
+            fields = (res.edges_before, res.edges_after, res.added)
+            assert all(type(f) is frozenset for f in fields)
+            assert {type(x) for f in fields for e in f for x in e} <= {int}
+            assert res.edges_before == g.edges and res.edges_after == g.edges | res.added
+            assert res.added and not res.added & g.edges and all(u < v for u, v in res.added)
+            data = res.to_json()
+            assert data["added_edges"] == [list(e) for e in sorted(res.added)]
+            assert (data["edges_before"], data["edges_after"]) == tuple(
+                map(len, (res.edges_before, res.edges_after))
+            )

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from operator import mul
 
@@ -216,6 +217,16 @@ class TestPMIGreedy:
     def test_json_non_integral_rejected(self, entry, field):
         with pytest.raises(ValueError, match=field):
             PMISequence.from_json([entry])
+
+    @pytest.mark.parametrize("bad", [1.0, True, np.float64(0.0)])
+    def test_witness_must_be_an_integer(self, bad):
+        # A bool witness would be written as JSON true, which from_json refuses.
+        vectors = (DistanceVector(0, (0, 0)), DistanceVector(1, (1, 1)))
+        with pytest.raises(ValueError, match=f"^witness must be an integer, got {re.escape(repr(bad))}$"):
+            PMISequence(vectors, (bad, 0))
+        seq = PMISequence(vectors, (np.int64(1), 0))
+        assert seq.witnesses == (1, 0) and type(seq.witnesses[0]) is int
+        assert PMISequence.from_json(json.loads(json.dumps(seq.to_json()))) == seq
 
 
 @st.composite

@@ -155,6 +155,14 @@ class TestConfig:
         assert aggregates_to_csv(aggregates) == aggregates_to_csv(plain_aggregates)
         assert json.dumps(numpy.to_json()) == json.dumps(plain.to_json())
 
+    @pytest.mark.parametrize("flag", [np.True_, np.False_])
+    def test_numpy_bool_runtime_flag_is_the_python_bool(self, flag):
+        numpy, plain = (small_config(instances=1, measure_runtime=f) for f in (flag, bool(flag)))
+        assert numpy.measure_runtime is bool(flag)
+        assert json.dumps(numpy.to_json()) == json.dumps(plain.to_json())
+        if not flag:
+            assert records_to_csv(run_experiment(numpy)[0]) == records_to_csv(run_experiment(plain)[0])
+
     def test_json_integral_float_count_accepted(self):
         config = ExperimentConfig.from_json(
             {"model": "erdos-renyi", "n": 8.0, "parameters": [0.4], "leader_counts": [2]}

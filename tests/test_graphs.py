@@ -30,6 +30,8 @@ from helpers import (
     complete_graph,
     path_graph,
     reference_barabasi_albert,
+    reference_edge_list,
+    reference_graph_edges,
     reference_erdos_renyi,
 )
 
@@ -119,6 +121,34 @@ class TestGraphConstruction:
         assert g.add_edges([(2, 0), (1, 0)]).edges == {(0, 1), (1, 2), (0, 2)}
         with pytest.raises(ValueError, match="self-loop on node 1"):
             g.add_edges([(1, 1)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bulk_checks_match_the_per_edge_oracle(self, data):
+        n = data.draw(st.one_of(st.integers(1, 6), st.integers(1, 2**40)), label="n")
+        node = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=10), label="edges")
+        if edges:
+            edges += [(v, u) for u, v in data.draw(st.lists(st.sampled_from(edges), max_size=3))]
+        endpoint = st.one_of(
+            st.booleans(), st.floats(), st.floats().map(np.float64), st.text(max_size=2),
+            st.none(), node.map(np.int64), st.integers(max_value=-1),
+            st.integers(n, 2**64), st.integers(2**63, 2**65),
+        )
+        faulty = st.one_of(
+            st.tuples(endpoint, node), st.tuples(node, endpoint),
+            st.tuples(node), st.tuples(node, node, node), node.map(lambda v: (v, v)),
+        )
+        for bad in data.draw(st.lists(faulty, max_size=2), label="faults"):
+            edges.insert(data.draw(st.integers(0, len(edges))), bad)
+        try:
+            expected = reference_graph_edges(n, edges)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                Graph(n, edges)
+        else:
+            g = Graph(n, edges)
+            assert g.edges == expected and g.sorted_edges() == sorted(expected)
 
 
 class TestBFS:
@@ -509,6 +539,25 @@ class TestEdgeListIO:
     def test_bad_header(self):
         with pytest.raises(EdgeListParseError, match="line 1"):
             parse_edge_list("nodes 3\n0 1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_bulk_parse_matches_the_per_line_oracle(self, n, data):
+        token = st.one_of(st.integers(-1, n + 1).map(str), st.sampled_from(["x", "1.5", "+1", "0_1", "\u0663"]))
+        space = st.sampled_from([" ", "  ", "\t", " \x0b "])
+        line = st.one_of(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(lambda e: f"{e[0]} {e[1]}"),
+            st.lists(token, max_size=3).flatmap(lambda ts: space.map(lambda sp: sp.join(ts) + sp)),
+        )
+        text = f"n {n}\n" + "\n".join(data.draw(st.lists(line, max_size=8)))
+        try:
+            expected = reference_edge_list(text)
+        except EdgeListParseError as exc:
+            with pytest.raises(EdgeListParseError, match=f"^{re.escape(str(exc))}$"):
+                parse_edge_list(text)
+        else:
+            g = parse_edge_list(text)
+            assert (g.n, g.edges) == expected
 
     def test_written_form_is_sorted(self):
         g = Graph(4, [(2, 3), (0, 1), (1, 2)])
