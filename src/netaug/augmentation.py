@@ -90,10 +90,12 @@ class AugmentationResult:
 
 
 def _sorted_pairs(edges: frozenset[Edge]) -> np.ndarray:
-    """The int pairs of ``edges`` as a (k, 2) int array in sorted order."""
+    """The int pairs of ``edges`` as a (k, 2) int array in sorted order. The
+    augmenters' node ids are below ``DENSE_NODE_GUARD``, so one int64 key
+    ``u << 32 | v`` per pair sorts in pair order."""
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
     pairs = flat.reshape(-1, 2)
-    return pairs[np.lexsort(pairs.T[::-1])]
+    return pairs[np.argsort(pairs[:, 0] << 32 | pairs[:, 1])]
 
 
 def _pair_distances(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -124,8 +126,9 @@ def _levels(dist_a: np.ndarray, dist_b: np.ndarray, k: int) -> np.ndarray:
     if that depth is at most ``(k - 1) // 2``, else the middle ``k // 2``
     (1 when ``k = 1``, so level 0 stays ``{a}``). Geodesic nodes thus sit at
     their depth from ``a``. A chain joins the node pairs at most one level apart.
+    Broadcasts: ``k`` may hold one pair distance per column of the distances.
     """
-    near_b = np.where(dist_b <= (k - 1) // 2, k - dist_b, max(k // 2, 1))
+    near_b = np.where(dist_b <= (k - 1) // 2, k - dist_b, np.maximum(k // 2, 1))
     return np.where(dist_a <= k // 2, dist_a, near_b)
 
 
@@ -164,27 +167,69 @@ def build_clique_chain(levels: Sequence[Sequence[int]]) -> frozenset[Edge]:
     return frozenset(zip(np.minimum(u, w).tolist(), np.maximum(u, w).tolist()))
 
 
+#: Rows x of the n x n pair masks one packed pass tests at once; its two uint64
+#: buffers hold ``_BLOCK_ROWS`` x n words.
+_BLOCK_ROWS = 128
+
+
+def _packed_at_least(top: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """n x n mask whose ``[x, y]`` is True iff ``top[y, i] >= low[x, i]`` for every
+    column ``i`` of the two (n, c) tables of non-negative ints.
+
+    The scan's guard-bit test, one 64-bit word per ``64 // w`` columns: field ``i``
+    spans bits ``[i*w, i*w + w)``, and ``G = 2**(w - 1)`` exceeds every entry. Node
+    y packs ``G + top`` per field, node x packs ``low``; every field of the
+    difference then lies in [0, 2G), so nothing borrows across fields and a field
+    keeps its guard bit iff ``top >= low`` there. Padding fields read ``G - 0``,
+    which passes. The words' differences are ANDed and their guard bits tested
+    once, ``_BLOCK_ROWS`` rows x at a time."""
+    n, c = top.shape
+    w = int(max(top.max(initial=0), low.max(initial=0))).bit_length() + 1
+    fields = 64 // w
+    words = max(1, -(-c // fields))
+    shifts = np.arange(0, fields * w, w, dtype=np.uint64)[:, None]
+    guards = np.uint64(sum(1 << (i + w - 1) for i in range(0, fields * w, w)))
+
+    def pack(table: np.ndarray) -> np.ndarray:
+        """(words, n): column ``i * words + j`` of ``table`` in field i of word j."""
+        cells = np.zeros((n, fields * words), dtype=np.uint64)
+        cells[:, :c] = table
+        cells = cells.reshape(n, fields, words)
+        cells <<= shifts
+        return np.ascontiguousarray(np.bitwise_or.reduce(cells, axis=1).T)
+
+    top_words, low_words = pack(top) | guards, pack(low)
+    ok = np.empty((n, n), dtype=bool)
+    acc = np.empty((min(n, _BLOCK_ROWS), n), dtype=np.uint64)
+    diff = np.empty_like(acc)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        block, scratch = acc[: stop - start], diff[: stop - start]
+        np.subtract(top_words[0], low_words[0, start:stop, None], out=block)
+        for t, lo in zip(top_words[1:], low_words[1:]):
+            block &= np.subtract(t, lo[start:stop, None], out=scratch)
+        block &= guards
+        np.equal(block, guards, out=ok[start:stop])
+    return ok
+
+
 def _legal_alone(g: Graph, at: np.ndarray, floor: np.ndarray):
     """Mask of the missing pairs ``lo < hi`` (row-major u < v order) that keep
     every monitored distance of the ``_instance`` tables when added alone; its
     sum is ``T``. Edge ``(x, y)`` is legal iff ``d_v(y) >= need_v(x)`` and
     ``d_v(x) >= need_v(y)`` for every monitored ``v``, with ``need_v(x) =
     max_l(d(l, v) - d_l(x) - 1)`` over the leaders, clamped at 0 (a floor of 0
-    adds nothing). One n x n mask ``ok[x, y]`` holds the first half for every
-    node pair, one broadcast compare per monitored node, so the cost is
-    O(n^2 * monitored) whatever the number of missing pairs. Returns ``legal,
-    lo, hi, need``."""
+    adds nothing). One packed pass (``_packed_at_least``) fills an n x n mask
+    ``ok[x, y]`` with the first half for every node pair, distances capped at
+    the largest threshold, so the cost is O(n^2 * monitored / fields per word)
+    whatever the number of missing pairs. Returns ``legal, lo, hi, need``."""
     lead = at.shape[1] - floor.shape[1]
     need = np.zeros((g.n, floor.shape[0]), dtype=np.intp)  # one leader at a time: O(n * m)
     for k in range(floor.shape[1]):
         np.maximum(need, floor[:, k] - 1 - at[:, lead + k, None], out=need)
     lo, hi = _missing_pairs(g)
-    # Distances and thresholds are below n <= DENSE_NODE_GUARD, so int16 holds them.
-    dist, low = at[:, : need.shape[1]].T.astype(np.int16), need.T.astype(np.int16)
-    ok = np.ones((g.n, g.n), dtype=bool)
-    ge = np.empty_like(ok)
-    for d, row in zip(dist, low):
-        ok &= np.greater_equal(d, row[:, None], out=ge)
+    # No test tells apart distances at or above the largest threshold.
+    ok = _packed_at_least(np.minimum(at[:, : need.shape[1]], need.max(initial=0)), need)
     return ok[lo, hi] & ok[hi, lo], lo, hi, need
 
 
@@ -210,21 +255,23 @@ def _chain(g: Graph, at: np.ndarray, floor: np.ndarray):
     every (leader, monitored node) pair with a nonzero floor, tested among the
     pairs legal alone, which hold every chain edge; and the ``_legal_alone`` mask.
 
-    One n x n mask starts at the legal pairs and is ANDed with one level-gap
-    mask per pair: ``a - (b - 1)`` lies in [0, 2] iff ``|a - b| <= 1``, so the
-    int16 gap read as uint16 is at most 2 (a negative one wraps high). Three
-    n x n buffers, two bool and one int16, are reused for every pair; the
-    surviving pairs come out of ``np.nonzero`` in row-major u < v order."""
+    One n x n mask starts at the legal pairs and is ANDed with one packed pass
+    (``_packed_at_least``) over the levels of every pair at once: ``ok[x, y]``
+    holds iff ``level(y) + 1 >= level(x)`` for every pair, so ``ok & ok.T`` holds
+    iff no pair puts x and y more than one level apart. The levels are int16
+    (n x pairs). The surviving pairs come out of ``np.nonzero`` in row-major
+    u < v order."""
     legal, lo, hi, _ = _legal_alone(g, at, floor)
     keep = np.zeros((g.n, g.n), dtype=bool)
     keep[lo, hi] = legal
-    gap = np.empty(keep.shape, dtype=np.int16)
-    near = np.empty_like(keep)
+    del lo, hi  # the largest arrays of the call: 16 bytes per missing pair
     lead = at.shape[1] - floor.shape[1]
-    for j, k in zip(*np.nonzero(floor)):
-        level = _levels(at[:, lead + k], at[:, j], floor[j, k]).astype(np.int16)
-        np.subtract(level[:, None], level - 1, out=gap)
-        keep &= np.less_equal(gap.view(np.uint16), 2, out=near)
+    # Distances are below n <= DENSE_NODE_GUARD, so int16 holds them and the levels.
+    dist, j, k = at.astype(np.int16), *np.nonzero(floor)
+    level = _levels(dist[:, lead + k], dist[:, j], floor[j, k].astype(np.int16))
+    ok = _packed_at_least(level + 1, level)
+    keep &= ok
+    keep &= ok.T
     lo, hi = np.nonzero(keep)
     return zip(lo.tolist(), hi.tolist()), legal
 

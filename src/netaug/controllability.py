@@ -24,7 +24,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, SizeGuardError
-from .graphs import Graph, _checked_distances, _edge_arrays, _integer, _json_int, is_connected, laplacian
+from .graphs import (
+    Graph, _checked_distances, _edge_arrays, _guard_dense, _integer, _json_int, is_connected, laplacian
+)
 
 __all__ = [
     "DistanceVector",
@@ -283,37 +285,44 @@ def _mod(x: np.ndarray, prime: int) -> np.ndarray:
 
 def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
     """``a @ b`` mod ``prime``, stacked like ``np.matmul``: ``a`` int64 and ``b`` float64
-    residues, both below 2**31.
+    residues, both below 2**31, over an inner size k <= 4096 (``DENSE_NODE_GUARD``).
 
-    ``a`` is split into four 8-bit limbs, one float64 product ``limb @ b`` each. The
-    products are exact: every term is below 2**8 * 2**31, so every partial sum over an
-    inner dimension k <= 4096 (``DENSE_NODE_GUARD``) is an integer below 2**51 < 2**53, in
-    any summation order. Horner's rule recombines them in int64 with two remainders. With
-    ``p_s`` the product of the limb ``(a >> s) & 0xFF``: the top limb is below 2**7, so
-    ``(p_24 << 8) + p_16`` stays below 2**59; reduced below 2**31, it gives
-    ``(((out << 8) + p_8) << 8) + p_0`` below 2**61."""
-
-    def limb(shift: int) -> np.ndarray:
-        return np.matmul(((a >> shift) & 0xFF).astype(np.float64), b).astype(np.int64)
-
-    out = limb(24)
-    out <<= 8
-    out += limb(16)
-    _mod(out, prime)
-    out <<= 8
-    out += limb(8)
-    out <<= 8
-    out += limb(0)
-    return _mod(out, prime)
+    ``a`` is split into balanced limbs, stacked as the rows of one float64 product per
+    matrix: two 16-bit limbs when k <= 128, else three 11-bit ones. The products are
+    exact: a 16-bit limb is at most 2**15 in size, so every term is below 2**46 and
+    every partial sum of k <= 128 terms an integer below 2**53, in any summation
+    order; an 11-bit limb is at most 2**10, every term below 2**41, and 4096 of them
+    stay below 2**53. Horner's rule recombines the limb products in int64, with one
+    remainder per limb: a residue shifted by at most 16 bits plus a product stays
+    below 2**54."""
+    inner = a.shape[-1]
+    bits, count = (16, 2) if inner <= 128 else (11, 3)
+    limbs = np.empty((*a.shape[:-2], count, *a.shape[-2:]))
+    rest = a
+    for i in range(count - 1):
+        high = rest + (1 << (bits - 1))
+        high >>= bits
+        np.subtract(rest, high << bits, out=limbs[..., i, :, :])
+        rest = high
+    limbs[..., count - 1, :, :] = rest
+    products = np.matmul(limbs.reshape(*a.shape[:-2], count * a.shape[-2], inner), b)
+    products = products.astype(np.int64).reshape(*products.shape[:-2], count, -1, products.shape[-1])
+    out = _mod(products[..., count - 1, :, :], prime)
+    for i in range(count - 2, -1, -1):
+        out <<= bits
+        out += products[..., i, :, :]
+        _mod(out, prime)
+    return out
 
 
 def _eliminate(block: np.ndarray, prime: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-reduce every trial's block in place, one pivot row at a time for all trials.
 
     Row i takes its first nonzero column as pivot, is scaled to 1 there, and that
-    column is cleared from every other row of the block (one rank-1 update). Returns
-    ``(new, cols)``: which rows got a pivot in which trial, and the pivot columns. A row
-    without one is zero."""
+    column is cleared from every other row of the block (one rank-1 update). The leads
+    of all trials are inverted together: prefix products, one ``pow`` of the last, and
+    one backward pass. Returns ``(new, cols)``: which rows got a pivot in which trial,
+    and the pivot columns. A row without one is zero."""
     count, m = block.shape[:2]
     everyone = np.arange(count)
     new, cols = np.zeros((count, m), dtype=bool), np.zeros((count, m), dtype=np.intp)
@@ -323,8 +332,15 @@ def _eliminate(block: np.ndarray, prime: int) -> tuple[np.ndarray, np.ndarray]:
         lead = row[everyone, col]
         if not lead.any():
             continue
-        inverse = np.array([pow(x, -1, prime) if x else 0 for x in lead.tolist()])
-        row = _mod(row * inverse[:, None], prime)
+        leads = lead.tolist()
+        prefix = [1]
+        for x in leads:
+            prefix.append(prefix[-1] * (x or 1) % prime)
+        inverse, rest = [0] * count, pow(prefix[-1], -1, prime)
+        for t in range(count - 1, -1, -1):
+            if leads[t]:
+                inverse[t], rest = rest * prefix[t] % prime, rest * leads[t] % prime
+        row = _mod(row * np.array(inverse)[:, None], prime)
         block -= block[everyone, :, col][:, :, None] * row[:, None, :]
         _mod(block, prime)
         block[:, i] = row  # the update zeroed it
@@ -353,8 +369,14 @@ def _rank_mod(
     ``(-L_t)^j B``. All T trials run in lockstep, one Krylov block at a time, and every
     Python-level step acts on the whole stack at once: reduce the block against the
     trial's RREF basis (one product), eliminate within it (one rank-1 update per pivot
-    row), clear the new pivot columns from the basis (one rank-1 update per new row),
-    append the new rows and step them (one product).
+    row), clear the new pivot columns from the basis (one product per slab of at most
+    n / 4 basis rows, subtracted in place, so its temporaries stay a fraction of the
+    stack), append the new rows and step them (one product). The basis is held as
+    float64 residues, the operand its products read. The first block is the inputs in
+    every trial, so it is eliminated once, for the whole stack; when its pivot rows are
+    unit rows ``e_c`` (leader indicators are), its step is rows c of each step matrix and
+    its reduction zeroes columns c, with no product, and a basis slab that is zero in the
+    new pivot columns is not cleared.
 
     A trial stops after a block that adds no pivot, or, with a ``target``, after the first
     block that brings its proved rank to at least ``target`` (it may overshoot by less than
@@ -365,17 +387,16 @@ def _rank_mod(
     pivots, so it stops within n + 1 blocks. A run that finds more than n pivots or
     reaches block n + 2 has wrong products and raises ``RuntimeError``."""
     count, n = steps.shape[0], steps.shape[-1]
-    everyone = np.arange(count)
     found = np.zeros(count, dtype=np.int64)  # pivots so far
     ranks, stopped = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
-    block = np.repeat(inputs[None], count, axis=0)
-    basis = np.zeros((count, 0, n), dtype=np.int64)  # a trial's rows first, then zero rows
-    pivots = np.zeros((count, 0), dtype=np.intp)  # 0 beside a zero row
+    # A trial's rows first, then zero rows; pivot 0 beside a zero row.
+    basis, pivots = np.zeros((count, 0, n)), np.zeros((count, 0), dtype=np.intp)
+    slab = max(1, n // 4)  # basis rows cleared per product
+    block = inputs[None].copy()  # every trial's first block: eliminated once, for the stack
+    new, cols = _eliminate(block, prime)
+    unit = np.count_nonzero(block) == new.sum()  # its pivot rows are unit rows e_c
+    new, cols, block = (np.broadcast_to(x, (count, *x.shape[1:])) for x in (new, cols, block))
     for _ in range(n + 1):
-        if basis.shape[1]:
-            coef = np.take_along_axis(block, pivots[:, None, :], axis=2)
-            block = _mod(block - _mulmod(coef, basis.astype(np.float64), prime), prime)
-        new, cols = _eliminate(block, prime)
         added = new.sum(axis=1)
         found += added
         if found.max() > n:
@@ -388,28 +409,44 @@ def _rank_mod(
             return ranks
         rows = new.any(axis=0)
         block, new, cols = block[:, rows], new[:, rows], cols[:, rows]
-        for j in range(block.shape[1]):  # zero rows (no pivot in that trial) change nothing
-            basis -= basis[everyone, :, cols[:, j]][:, :, None] * block[:, None, j]
-            _mod(basis, prime)
+        # Zero rows (no pivot in that trial) change nothing.
+        top, step = basis.shape[1], block.astype(np.float64)
+        for first in range(0, top, slab):
+            part = basis[:, first : min(first + slab, top)]
+            coef = np.take_along_axis(part, cols[:, None, :], axis=2)
+            if coef.any():  # rows e_c are zero in every later pivot column
+                part -= _mulmod(coef.astype(np.int64), step, prime)
+                np.add(part, prime, out=part, where=part < 0)
         size = (count, int(found.max()))
-        grown, grown_pivots = np.zeros((*size, n), dtype=np.int64), np.zeros(size, dtype=np.intp)
-        grown[:, : basis.shape[1]], grown_pivots[:, : basis.shape[1]] = basis, pivots
+        grown, grown_pivots = np.zeros((*size, n)), np.zeros(size, dtype=np.intp)
+        grown[:, :top], grown_pivots[:, :top] = basis, pivots
         trial, j = np.nonzero(new)  # each trial's new rows go right after its old ones
         slot = (found - added)[trial] + np.cumsum(new, axis=1)[trial, j] - 1
         grown[trial, slot], grown_pivots[trial, slot] = block[trial, j], cols[trial, j]
         basis, pivots = grown, grown_pivots
-        block = _mulmod(block, steps, prime)
+        if unit:  # e_c times a step is its row c; reducing it against the e_c zeroes columns c
+            block = steps[:, cols[0]].astype(np.int64)
+            block[:, :, cols[0]] = 0
+            unit = False
+        else:
+            block = _mulmod(block, steps, prime)
+            coef = np.take_along_axis(block, pivots[:, None, :], axis=2)
+            block = _mod(block - _mulmod(coef, basis, prime), prime)
+        new, cols = _eliminate(block, prime)
     raise RuntimeError(f"Krylov rank mod {prime} passed n = {n} pivots or n + 1 blocks: wrong products")
 
 
 def controllability_rank(laplacian: np.ndarray, inputs: np.ndarray) -> int:
     """Rank of ``[B, -LB, (-L)^2 B, ..., (-L)^(n-1) B]`` modulo a prime near 2**31.
 
-    Takes integer-valued matrices (``ValueError`` otherwise). The rank mod p never
-    exceeds the rational rank, so the result is a proved lower bound on it. This is
-    always the full Krylov rank; only ``validate_ssc_bound`` stops at its bound."""
+    Takes integer-valued matrices (``ValueError`` otherwise) with at most
+    ``DENSE_NODE_GUARD`` rows, the inner size up to which the limb products are exact.
+    The rank mod p never exceeds the rational rank, so the result is a proved lower
+    bound on it. This is always the full Krylov rank; only ``validate_ssc_bound`` stops
+    at its bound."""
+    n = np.shape(laplacian)[0] if np.ndim(laplacian) == 2 else -1
+    _guard_dense(n, "the rank check")
     lap, mat_b = _residues(laplacian, _PRIME), _residues(inputs, _PRIME)
-    n = lap.shape[0] if lap.ndim == 2 else -1
     if lap.shape != (n, n) or mat_b.ndim != 2 or mat_b.shape[0] != n:
         raise ValueError(f"dimension mismatch: laplacian {lap.shape}, inputs {mat_b.shape}")
     step = (-lap.T % _PRIME).astype(np.float64)

@@ -6,8 +6,9 @@ sorted pass, per-coordinate scans vs suffix minima, a MILP optimum vs clique
 chains and greedy scans, pseudo-inverse resistances vs eigenvalue sums,
 rational elimination vs modular Krylov blocks, Python pair lists and
 ``rng.choice`` vs array draws, frontier sets over edge lists vs cached
-adjacency sets, a per-edge check vs bulk masks over all edges) so they
-can catch bugs in the implementations they check.
+adjacency sets, a per-edge check vs bulk masks over all edges, one compare
+per monitored node or pair vs packed guard-bit words) so they can catch bugs
+in the implementations they check.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from netaug import (
     erdos_renyi,
     is_connected,
 )
-from netaug.graphs import _integer
+from netaug.augmentation import _levels
+from netaug.graphs import _integer, _missing_pairs
 
 
 def reference_erdos_renyi(spec: GenSpec) -> Graph:
@@ -168,6 +170,35 @@ def legal_alone_oracle(g: Graph, pairs) -> int:
         after = all_pairs_min_plus(g.add_edges([edge]))
         legal += all(after[a, b] == before[a, b] for a, b in pairs)
     return legal
+
+
+def reference_legal_alone(g: Graph, at: np.ndarray, floor: np.ndarray):
+    """``augmentation._legal_alone`` by one n x n compare per monitored node:
+    ``ok[x, y]`` iff ``d_v(y) >= need_v(x)`` for every monitored ``v``. Returns
+    ``legal, lo, hi, need`` on the same ``_instance``-shaped tables."""
+    lead = at.shape[1] - floor.shape[1]
+    need = np.zeros((g.n, floor.shape[0]), dtype=np.intp)
+    for k in range(floor.shape[1]):
+        np.maximum(need, floor[:, k] - 1 - at[:, lead + k, None], out=need)
+    lo, hi = _missing_pairs(g)
+    ok = np.ones((g.n, g.n), dtype=bool)
+    for d, row in zip(at[:, : need.shape[1]].T, need.T):
+        ok &= d[None, :] >= row[:, None]
+    return ok[lo, hi] & ok[hi, lo], lo, hi, need
+
+
+def reference_chain(g: Graph, at: np.ndarray, floor: np.ndarray) -> list:
+    """``augmentation._chain``'s edges, in order, by one level-gap mask per
+    (leader, monitored node) pair with a nonzero floor, ANDed into the pairs
+    legal alone (``reference_legal_alone``)."""
+    legal, lo, hi, _ = reference_legal_alone(g, at, floor)
+    keep = np.zeros((g.n, g.n), dtype=bool)
+    keep[lo, hi] = legal
+    lead = at.shape[1] - floor.shape[1]
+    for j, k in zip(*np.nonzero(floor)):
+        level = _levels(at[:, lead + k], at[:, j], floor[j, k])
+        keep &= np.abs(level[:, None] - level[None, :]) <= 1
+    return list(zip(*(side.tolist() for side in np.nonzero(keep))))
 
 
 def shortcut_legal_oracle(g: Graph, pairs) -> int:

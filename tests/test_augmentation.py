@@ -28,6 +28,7 @@ from netaug import (
     pmi_greedy,
     success_probability_bound,
 )
+from netaug.augmentation import _BLOCK_ROWS, _chain, _legal_alone
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     all_pairs_min_plus,
@@ -41,6 +42,8 @@ from helpers import (
     optimum_oracle,
     path_graph,
     random_connected_graph,
+    reference_chain,
+    reference_legal_alone,
     reference_randomized_scan,
     shortcut_legal_oracle,
     star_graph,
@@ -772,6 +775,40 @@ class TestDenseMasks:
         # pairs are 8 MB as two int arrays, each mask 1-2 MB. One int64 n x n
         # temporary adds 8 MB.
         assert peak < 17_000_000
+
+
+@st.composite
+def packed_tables(draw):
+    """A random graph with ``_instance``-shaped tables ``at`` and ``floor`` at
+    the edges of the packed masks: n on both sides of the row block, floors
+    whose largest value (always present) sits on either side of a field-width
+    step, and up to 12 x 4 monitored pairs, more than one word holds at the
+    narrowest fields. Distances run to one past the largest floor."""
+    n = draw(st.sampled_from([1, 2, 5, 17, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]))
+    top = draw(st.sampled_from([1, 2, 3, 5, 6, 7, 14, 15, 16, 30, 31, 62, 63, 126, 127, 2046, 2047, 4094, 4095]))
+    monitored, leaders = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    at = rng.integers(0, top + 2, size=(n, max(monitored, leaders) + draw(st.integers(0, 2))))
+    floor = rng.integers(0, top + 1, size=(monitored, leaders))
+    floor.flat[: min(floor.size, draw(st.integers(1, 3)))] = top
+    lo, hi = np.nonzero(np.triu(rng.random((n, n)) < draw(st.floats(0.0, 0.5)), 1))
+    return Graph(n, list(zip(lo.tolist(), hi.tolist()))), at, floor
+
+
+class TestPackedMasks:
+    """``_legal_alone`` and ``_chain`` test packed words of guard-bit fields;
+    the references compare one monitored node or one pair at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_tables())
+    def test_masks_and_edge_order_match_the_per_pair_loops(self, tables):
+        g, at, floor = tables
+        got, want = _legal_alone(g, at, floor), reference_legal_alone(g, at, floor)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        added, legal = _chain(g, at, floor)
+        assert list(added) == reference_chain(g, at, floor)
+        assert np.array_equal(legal, want[0])
 
 
 class TestKirchhoffAfterAugmentation:

@@ -345,6 +345,13 @@ class TestControllabilityRank:
         assert controllability_rank(lap, inputs) == krylov_rank_oracle(lap, inputs) == 2
         assert _residues(np.array([[2**63 + 5]], dtype=np.uint64), _PRIME).tolist() == [[727]]
 
+    def test_size_guard_fires_before_the_residues(self):
+        # The limb products are exact up to DENSE_NODE_GUARD terms. A broadcast view
+        # holds no memory, so the guard must fire before any copy is made.
+        big = np.broadcast_to(np.int64(0), (DENSE_NODE_GUARD + 1,) * 2)
+        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
+            controllability_rank(big, big[:, :1])
+
     def test_non_integral_entry_rejected(self):
         lap = graph_laplacian(path_graph(2), np.array([0.5]))
         with pytest.raises(ValueError, match="integer-valued"):
@@ -370,14 +377,19 @@ class TestControllabilityRank:
 
 class TestLimbProduct:
     @pytest.mark.parametrize("prime", [_PRIME, 2**31 - 1])
-    @pytest.mark.parametrize("inner", [1, 4096])
-    @pytest.mark.parametrize("fill", ["p - 1", "random"])
+    @pytest.mark.parametrize("inner", [1, 128, 129, 4096])
+    @pytest.mark.parametrize("fill", ["p - 1", "odd limb", "random"])
     def test_products_are_exact(self, prime, inner, fill):
-        # All p - 1 gives the largest partial sums; random entries tell the four limb
-        # products apart, which equal operands cannot.
+        # All p - 1 gives the largest partial sums; random entries tell the limb
+        # products apart, which equal operands cannot. Inner sizes 128 and 129 sit on
+        # both sides of the 16-/11-bit split. A top 16-bit limb of 2**15 - 1 times the
+        # odd p - 2 sums to an odd integer past 2**53 at 129 terms, which float64 rounds.
         if fill == "random":
             rng = np.random.default_rng(inner)
             a, b = rng.integers(0, prime, size=(2, inner)), rng.integers(0, prime, size=(inner, 3))
+        elif fill == "odd limb":
+            a = np.full((2, inner), (2**15 - 1) << 16 | 1, dtype=np.int64)
+            b = np.full((inner, 3), prime - 2, dtype=np.int64)
         else:
             a = np.full((2, inner), prime - 1, dtype=np.int64)
             b = np.full((inner, 3), prime - 1, dtype=np.int64)
@@ -627,6 +639,45 @@ class TestRankProperties:
         assert ranks == [_rank_mod(steps[t : t + 1], inputs, _PRIME, target=target)[0] for t in range(len(steps))]
         if target is None:
             assert ranks == [krylov_rank_oracle(lap, inputs.T, prime=_PRIME) for lap in laps]
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_instances(max_weight=_PRIME - 1), st.data())
+    def test_dependent_inputs_match_the_oracle_under_both_primes(self, instance, data):
+        # Inputs that are not leader indicators: random residue rows, or scaled unit rows
+        # (whose reduced rows are unit rows, as leader indicators are), one repeated, a
+        # zero row and the sum of two rows, in any order, so the first block (eliminated
+        # once for the whole stack) has fewer pivots than rows. Two or three weightings
+        # run as one stack; every trial must report what the oracle finds alone.
+        g, weights, _ = instance
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        base = rng.integers(0, 2**30, size=(data.draw(st.integers(1, 3)), g.n))
+        if data.draw(st.booleans()):
+            base *= np.eye(g.n, dtype=np.int64)[rng.integers(0, g.n, size=len(base))]
+        rows = np.vstack([base, base[:1], np.zeros((1, g.n), dtype=np.int64), base[:1] + base[-1:]])
+        inputs = rows[data.draw(st.permutations(range(len(rows))))]
+        stack = [weights] + [rng.integers(1, _PRIME, size=weights.size) for _ in range(data.draw(st.integers(1, 2)))]
+        laps = [graph_laplacian(g, w) for w in stack]
+        assert controllability_rank(laps[0], inputs.T) == krylov_rank_oracle(laps[0], inputs.T, prime=_PRIME)
+        for prime in (_PRIME, 2**31 - 1):
+            steps = np.array([np.mod(-lap.T, prime) for lap in laps], dtype=np.float64)
+            full = [krylov_rank_oracle(lap, inputs.T, prime=prime) for lap in laps]
+            assert _rank_mod(steps, inputs, prime).tolist() == full
+            target = data.draw(st.integers(1, g.n + 1))
+            ranks = _rank_mod(steps, inputs, prime, target=target).tolist()
+            assert ranks == [_rank_mod(steps[t : t + 1], inputs, prime, target=target)[0] for t in range(len(laps))]
+            assert all(r == f if f <= target else target <= r < target + len(inputs) for r, f in zip(ranks, full))
+
+    @pytest.mark.parametrize("prime", [_PRIME, 2**31 - 1])
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_both_limb_splits_match_the_oracle(self, n, prime):
+        # The step product's inner size is n: two 16-bit limbs up to 128, three 11-bit
+        # ones past it. A weighted path with a chord keeps the oracle's powers cheap.
+        rng = np.random.default_rng(n)
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n // 2)])
+        lap = graph_laplacian(g, rng.integers(1, _PRIME, size=n))
+        inputs = rng.integers(0, 2**30, size=(1, n))
+        step = np.mod(-lap.T, prime).astype(np.float64)[None]
+        assert _rank_mod(step, inputs, prime).tolist() == [krylov_rank_oracle(lap, inputs.T, prime=prime)]
 
     def test_modular_rank_can_fall_below_the_rational_rank(self):
         g = complete_graph(3)
