@@ -214,30 +214,33 @@ def _packed_at_least(top: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 
 def _legal_alone(g: Graph, at: np.ndarray, floor: np.ndarray):
-    """Mask of the missing pairs ``lo < hi`` (row-major u < v order) that keep
-    every monitored distance of the ``_instance`` tables when added alone; its
-    sum is ``T``. Edge ``(x, y)`` is legal iff ``d_v(y) >= need_v(x)`` and
-    ``d_v(x) >= need_v(y)`` for every monitored ``v``, with ``need_v(x) =
-    max_l(d(l, v) - d_l(x) - 1)`` over the leaders, clamped at 0 (a floor of 0
-    adds nothing). One packed pass (``_packed_at_least``) fills an n x n mask
-    ``ok[x, y]`` with the first half for every node pair, distances capped at
-    the largest threshold, so the cost is O(n^2 * monitored / fields per word)
-    whatever the number of missing pairs. Returns ``legal, lo, hi, need``."""
+    """n x n mask of the missing pairs ``x < y`` that keep every monitored
+    distance of the ``_instance`` tables when added alone; its sum is ``T``.
+    Edge ``(x, y)`` is legal iff ``d_v(y) >= need_v(x)`` and ``d_v(x) >=
+    need_v(y)`` for every monitored ``v``, with ``need_v(x) = max_l(d(l, v) -
+    d_l(x) - 1)`` over the leaders, clamped at 0 (a floor of 0 adds nothing).
+    One packed pass (``_packed_at_least``) fills an n x n mask ``ok[x, y]``
+    with the first half for every node pair, distances capped at the largest
+    threshold, so the cost is O(n^2 * monitored / fields per word) whatever
+    the number of missing pairs. Returns ``ok & ok.T & missing`` and ``need``."""
     lead = at.shape[1] - floor.shape[1]
     need = np.zeros((g.n, floor.shape[0]), dtype=np.intp)  # one leader at a time: O(n * m)
     for k in range(floor.shape[1]):
         np.maximum(need, floor[:, k] - 1 - at[:, lead + k, None], out=need)
-    lo, hi = _missing_pairs(g)
     # No test tells apart distances at or above the largest threshold.
     ok = _packed_at_least(np.minimum(at[:, : need.shape[1]], need.max(initial=0)), need)
-    return ok[lo, hi] & ok[hi, lo], lo, hi, need
+    legal = _missing_pairs(g)
+    legal &= ok
+    legal &= ok.T
+    return legal, need
 
 
 def _result(
     algorithm: str, g: Graph, added, legal: np.ndarray, start: float, **audit
 ) -> AugmentationResult:
     """The ``AugmentationResult`` of adding the edges ``added`` to ``g``;
-    ``legal`` is the ``_legal_alone`` mask and ``start`` the run's start time."""
+    ``legal`` marks the missing pairs legal alone (its sum is ``T``) and
+    ``start`` is the run's start time."""
     added = frozenset(added)
     return AugmentationResult(
         algorithm=algorithm,
@@ -255,22 +258,19 @@ def _chain(g: Graph, at: np.ndarray, floor: np.ndarray):
     every (leader, monitored node) pair with a nonzero floor, tested among the
     pairs legal alone, which hold every chain edge; and the ``_legal_alone`` mask.
 
-    One n x n mask starts at the legal pairs and is ANDed with one packed pass
+    The legal mask is ANDed, into a new mask, with one packed pass
     (``_packed_at_least``) over the levels of every pair at once: ``ok[x, y]``
-    holds iff ``level(y) + 1 >= level(x)`` for every pair, so ``ok & ok.T`` holds
-    iff no pair puts x and y more than one level apart. The levels are int16
-    (n x pairs). The surviving pairs come out of ``np.nonzero`` in row-major
-    u < v order."""
-    legal, lo, hi, _ = _legal_alone(g, at, floor)
-    keep = np.zeros((g.n, g.n), dtype=bool)
-    keep[lo, hi] = legal
-    del lo, hi  # the largest arrays of the call: 16 bytes per missing pair
+    holds iff ``level(y) + 1 >= level(x)`` for every pair, so ``ok & ok.T``
+    holds iff no pair puts x and y more than one level apart. The levels are
+    int16 (n x pairs). The surviving pairs come out of ``np.nonzero`` in
+    row-major u < v order."""
+    legal, _ = _legal_alone(g, at, floor)
     lead = at.shape[1] - floor.shape[1]
     # Distances are below n <= DENSE_NODE_GUARD, so int16 holds them and the levels.
     dist, j, k = at.astype(np.int16), *np.nonzero(floor)
     level = _levels(dist[:, lead + k], dist[:, j], floor[j, k].astype(np.int16))
     ok = _packed_at_least(level + 1, level)
-    keep &= ok
+    keep = legal & ok
     keep &= ok.T
     lo, hi = np.nonzero(keep)
     return zip(lo.tolist(), hi.tolist()), legal
@@ -396,7 +396,9 @@ def augment_randomized(
     seed, repetitions = _integer(seed, "seed"), _integer(repetitions, "repetitions", 1)
     start = time.perf_counter()
     at, floor = _instance(g, leaders, pmi)
-    base_legal, lo, hi, need = _legal_alone(g, at, floor)
+    legal, need = _legal_alone(g, at, floor)
+    lo, hi = np.nonzero(_missing_pairs(g))  # the scan's candidates, row-major u < v
+    legal = legal[lo, hi]
     span = floor - 1  # -1 where leader k is monitored node j
     m, lead = need.shape[1], at.shape[1] - floor.shape[1]
 
@@ -441,7 +443,7 @@ def augment_randomized(
         dist = [list(col) for col in base_cols]
         added: list[Edge] = []
         adj, synced = None, 0  # built on the first walk, then kept up to added[:synced]
-        order = perm[base_legal[perm]]
+        order = perm[legal[perm]]
         for x, y in zip(lo[order].tolist(), hi[order].tolist()):
             px, py = packed[x], packed[y]
             if (py - need_at[x]) & (px - need_at[y]) & guards != guards:
@@ -489,7 +491,7 @@ def augment_randomized(
         if len(added) > len(best_added):
             best_added = added
     return _result(
-        "randomized", g, best_added, base_legal, start,
+        "randomized", g, best_added, legal, start,
         pmi_length=len(pmi), seed=seed, repetitions=repetitions,
     )
 

@@ -9,10 +9,11 @@ controllability-matrix ranks taken exactly modulo a prime.
 
 All PMI routines rest on one suffix-minimum rule: a vector may precede a
 suffix iff one of its coordinates is strictly below the suffix's
-componentwise minimum, and the first such coordinate is its witness.
-``is_pmi`` is one backward pass over suffix minima, ``pmi_exact`` memoizes its
-search on the minimum, and ``pmi_greedy`` is one pass over the vectors sorted
-by their smallest entry. A ``PMISequence`` checks its witnesses by this rule.
+componentwise minimum, and the first such coordinate is its witness. A
+``PMISequence`` is the one check of this rule, one backward pass over suffix
+minima whenever it is built; ``pmi_exact`` memoizes its search on the
+minimum, and ``pmi_greedy`` is one pass over the vectors sorted by their
+smallest entry.
 """
 
 from __future__ import annotations
@@ -24,17 +25,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, SizeGuardError
-from .graphs import (
-    Graph, _checked_distances, _edge_arrays, _guard_dense, _integer, _json_int, is_connected, laplacian
-)
+from .graphs import Graph, _checked_distances, _guard_dense, _integer, _json_int, is_connected, laplacian
 
 __all__ = [
     "DistanceVector",
     "PMISequence",
-    "PMICheck",
     "RankValidationReport",
-    "distance_to_leader_vectors",
-    "is_pmi",
     "pmi_exact",
     "pmi_greedy",
     "input_matrix",
@@ -123,15 +119,6 @@ class PMISequence:
         return cls(vectors, witnesses)
 
 
-@dataclass(frozen=True)
-class PMICheck:
-    """Outcome of a PMI test: witnesses on success, an offending pair otherwise."""
-
-    ok: bool
-    witnesses: tuple[int, ...] | None = None
-    violation: tuple[int, int] | None = None
-
-
 def _check_leaders(n: int, leaders: Sequence[int]) -> tuple[int, ...]:
     leaders = tuple(_integer(ell, "leader") for ell in leaders)
     if not leaders:
@@ -144,47 +131,10 @@ def _check_leaders(n: int, leaders: Sequence[int]) -> tuple[int, ...]:
     return leaders
 
 
-def distance_to_leader_vectors(g: Graph, leaders: Sequence[int]) -> list[DistanceVector]:
-    """One vector per node: entry j is the hop distance to leader j.
-
-    Requires a connected graph (one BFS pass per leader).
-    """
-    columns = _checked_distances(g, _check_leaders(g.n, leaders)).T.tolist()
-    return [DistanceVector(v, tuple(dist)) for v, dist in enumerate(columns)]
-
-
 def _witness(vec: Sequence[int], mins: Sequence[float]) -> int | None:
     """First coordinate on which ``vec`` is strictly below ``mins``, the
     componentwise minimum of the vectors after it; ``None`` when there is none."""
     return next((j for j, (x, lo) in enumerate(zip(vec, mins)) if x < lo), None)
-
-
-def is_pmi(vectors: Sequence[Sequence[int]]) -> PMICheck:
-    """Check the strictly-increasing-witness condition on a vector sequence.
-
-    Position ``i`` is certified by the first coordinate on which ``vectors[i]``
-    is strictly below the componentwise minimum of the later vectors, so one
-    backward pass over those suffix minima finds every witness. On failure
-    ``violation`` is ``(i, j)`` for the first position ``i`` with no valid
-    coordinate, with ``j`` the earliest later index that blocks one of them.
-    """
-    vecs = [tuple(v) for v in vectors]
-    m = len(vecs[0]) if vecs else 0
-    if any(len(v) != m for v in vecs):
-        raise ValueError("all vectors must have the same length")
-    witnesses: list[int | None] = [None] * len(vecs)
-    mins = [float("inf")] * m
-    for i in range(len(vecs) - 1, -1, -1):
-        witnesses[i] = _witness(vecs[i], mins)
-        mins = list(map(min, mins, vecs[i]))
-    if None not in witnesses:
-        return PMICheck(ok=True, witnesses=tuple(witnesses))  # type: ignore[arg-type]
-    i = witnesses.index(None)
-    later = range(i + 1, len(vecs))
-    blocker = min(
-        (next(j for j in later if vecs[j][a] <= vecs[i][a]) for a in range(m)), default=i + 1
-    )
-    return PMICheck(ok=False, violation=(i, blocker))
 
 
 def _distinct_vectors(g: Graph, leaders: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -535,7 +485,7 @@ def validate_ssc_bound(
         raise DisconnectedGraphError("rank validation needs a connected graph")
     n = g.n
     inputs = input_matrix(n, leaders).T.astype(np.int64)
-    u, v = _edge_arrays(g)
+    u, v = g._arrays
 
     def draw(trial: int) -> np.ndarray:
         return np.random.default_rng([seed, trial]).integers(1, _PRIME, size=u.size)
@@ -567,7 +517,7 @@ def kirchhoff_index(g: Graph) -> float:
     decreases it. Needs a connected graph with at most ``DENSE_NODE_GUARD`` nodes;
     connectivity is read from the spectrum, so it is refused after the eigensolver.
     """
-    u, v = _edge_arrays(g)
+    u, v = g._arrays
     eigenvalues = np.linalg.eigvalsh(laplacian(g.n, u, v, np.ones(u.size)))
     # lambda_2 is 0 if disconnected, else >= 2 - 2cos(pi/n) > 1/n^2 (Fiedler; paths attain it).
     if g.n > 1 and eigenvalues[1] < 1 / g.n**2:

@@ -46,8 +46,8 @@ __all__ = [
 
 #: Routines that hold all n(n-1)/2 node pairs refuse graphs with more nodes
 #: than this. They hold NumPy arrays: one double per pair in ``erdos_renyi``
-#: (~67 MB at this size), the missing pairs in row-major u < v order as two
-#: int arrays, dense n x n masks and matrices elsewhere.
+#: (~67 MB at this size), dense n x n masks and matrices elsewhere, and the
+#: randomized scan the missing pairs in row-major u < v order as two int arrays.
 DENSE_NODE_GUARD = 4096
 
 
@@ -157,11 +157,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges()})"
 
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The edges as two read-only int arrays ``u < v`` in sorted order."""
-    return g._arrays
-
-
 def bfs_distances(g: Graph, source: int) -> list[int | None]:
     """Hop distances from ``source`` to every node; ``None`` marks unreachable.
 
@@ -209,14 +204,14 @@ def _guard_dense(n: int, what: str) -> None:
         )
 
 
-def _missing_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The node pairs absent from the graph as two int arrays ``u < v``, in
-    row-major u < v order from one dense n x n mask. Guarded to
-    ``n <= DENSE_NODE_GUARD`` before the mask is allocated."""
+def _missing_pairs(g: Graph) -> np.ndarray:
+    """n x n mask of the node pairs absent from the graph, True only above the
+    diagonal (``u < v``), so ``np.nonzero`` lists them in row-major u < v order.
+    Guarded to ``n <= DENSE_NODE_GUARD`` before the mask is allocated."""
     _guard_dense(g.n, "the complement mask")
     taken = np.tri(g.n, dtype=bool)  # u >= v is never a candidate
-    taken[_edge_arrays(g)] = True
-    return np.nonzero(np.logical_not(taken, out=taken))
+    taken[g._arrays] = True
+    return np.logical_not(taken, out=taken)
 
 
 @dataclass(frozen=True)
@@ -427,5 +422,5 @@ def parse_edge_list(text: str) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     """Inverse of ``parse_edge_list``: header line then sorted ``u v`` lines."""
-    u, v = _edge_arrays(g)
+    u, v = g._arrays
     return f"n {g.n}\n" + ("%d %d\n" * u.size) % tuple(np.column_stack((u, v)).ravel().tolist())

@@ -13,6 +13,7 @@ in the implementations they check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,14 +23,13 @@ from netaug import (
     EdgeListParseError,
     GenSpec,
     Graph,
-    PMICheck,
     PMISequence,
     bfs_distances,
     erdos_renyi,
     is_connected,
 )
 from netaug.augmentation import _levels
-from netaug.graphs import _integer, _missing_pairs
+from netaug.graphs import _integer
 
 
 def reference_erdos_renyi(spec: GenSpec) -> Graph:
@@ -175,25 +175,26 @@ def legal_alone_oracle(g: Graph, pairs) -> int:
 def reference_legal_alone(g: Graph, at: np.ndarray, floor: np.ndarray):
     """``augmentation._legal_alone`` by one n x n compare per monitored node:
     ``ok[x, y]`` iff ``d_v(y) >= need_v(x)`` for every monitored ``v``. Returns
-    ``legal, lo, hi, need`` on the same ``_instance``-shaped tables."""
+    ``legal, need`` on the same ``_instance``-shaped tables, ``legal`` the n x n
+    mask of the missing pairs ``x < y`` with ``ok[x, y]`` and ``ok[y, x]``."""
     lead = at.shape[1] - floor.shape[1]
     need = np.zeros((g.n, floor.shape[0]), dtype=np.intp)
     for k in range(floor.shape[1]):
         np.maximum(need, floor[:, k] - 1 - at[:, lead + k, None], out=need)
-    lo, hi = _missing_pairs(g)
     ok = np.ones((g.n, g.n), dtype=bool)
     for d, row in zip(at[:, : need.shape[1]].T, need.T):
         ok &= d[None, :] >= row[:, None]
-    return ok[lo, hi] & ok[hi, lo], lo, hi, need
+    legal = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in complement_edges(g):
+        legal[u, v] = ok[u, v] and ok[v, u]
+    return legal, need
 
 
 def reference_chain(g: Graph, at: np.ndarray, floor: np.ndarray) -> list:
     """``augmentation._chain``'s edges, in order, by one level-gap mask per
     (leader, monitored node) pair with a nonzero floor, ANDed into the pairs
     legal alone (``reference_legal_alone``)."""
-    legal, lo, hi, _ = reference_legal_alone(g, at, floor)
-    keep = np.zeros((g.n, g.n), dtype=bool)
-    keep[lo, hi] = legal
+    keep, _ = reference_legal_alone(g, at, floor)
     lead = at.shape[1] - floor.shape[1]
     for j, k in zip(*np.nonzero(floor)):
         level = _levels(at[:, lead + k], at[:, j], floor[j, k])
@@ -248,6 +249,15 @@ def intersection_oracle(g: Graph, pairs) -> frozenset:
         for w in range(u + 1, g.n)
         if all(abs(level[u] - level[w]) <= 1 for level in levels)
     )
+
+
+@dataclass(frozen=True)
+class PMICheck:
+    """Outcome of a PMI test: witnesses on success, an offending pair otherwise."""
+
+    ok: bool
+    witnesses: tuple[int, ...] | None = None
+    violation: tuple[int, int] | None = None
 
 
 def is_pmi_oracle(vectors) -> PMICheck:

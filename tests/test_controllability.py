@@ -18,10 +18,8 @@ from netaug import (
     augment_intersection,
     augment_randomized,
     controllability_rank,
-    distance_to_leader_vectors,
     erdos_renyi,
     input_matrix,
-    is_pmi,
     kirchhoff_index,
     laplacian,
     pmi_exact,
@@ -29,9 +27,12 @@ from netaug import (
     validate_ssc_bound,
 )
 import netaug.controllability as controllability
-from netaug.controllability import _PRIME, _STACK_BYTES, _mulmod, _rank_mod, _residues, _stack_ranks
-from netaug.graphs import DENSE_NODE_GUARD, _edge_arrays
+from netaug.controllability import (
+    _PRIME, _STACK_BYTES, _distinct_vectors, _mulmod, _rank_mod, _residues, _stack_ranks
+)
+from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
+    bfs_oracle,
     brute_pmi_length,
     complete_graph,
     cycle_graph,
@@ -45,59 +46,88 @@ from helpers import (
 )
 
 
+def distance_vectors(g: Graph, leaders) -> list[tuple[int, ...]]:
+    """Each node's hop distances to the leaders, in leader order, by ``bfs_oracle``."""
+    dist = bfs_oracle(g, leaders)
+    return [tuple(dist[ell][v] for ell in leaders) for v in range(g.n)]
+
+
+def pmi_sequence(vectors, witnesses) -> PMISequence:
+    """A ``PMISequence`` over ``vectors``, node i holding the i-th."""
+    return PMISequence(tuple(DistanceVector(i, tuple(vec)) for i, vec in enumerate(vectors)), tuple(witnesses))
+
+
 class TestDistanceVectors:
+    """``_distinct_vectors``, the one reader of distance vectors behind both PMI
+    searches, and the leader and graph checks of those searches."""
+
     def test_path_two_leaders(self):
-        vecs = distance_to_leader_vectors(path_graph(3), (0, 2))
-        assert [dv.dist for dv in vecs] == [(0, 2), (1, 1), (2, 0)]
+        assert _distinct_vectors(path_graph(3), (0, 2)) == {(0, 2): 0, (1, 1): 1, (2, 0): 2}
 
     def test_leader_entry_is_zero_iff_leader(self):
         g = random_connected_graph(8, 0.4, seed=2)
-        vecs = distance_to_leader_vectors(g, (3, 5))
-        for dv in vecs:
-            assert (dv.dist[0] == 0) == (dv.node == 3)
-            assert (dv.dist[1] == 0) == (dv.node == 5)
+        for vec, node in _distinct_vectors(g, (3, 5)).items():
+            assert (vec[0] == 0) == (node == 3)
+            assert (vec[1] == 0) == (node == 5)
 
     def test_star_single_leader(self):
-        vecs = distance_to_leader_vectors(star_graph(3), (0,))
-        assert [dv.dist for dv in vecs] == [(0,), (1,), (1,), (1,)]
+        # Leaves share a vector; the smallest node id holds it.
+        assert _distinct_vectors(star_graph(3), (0,)) == {(0,): 0, (1,): 1}
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
-            distance_to_leader_vectors(Graph(3, [(0, 1)]), (0,))
+        for search in (pmi_greedy, pmi_exact):
+            with pytest.raises(DisconnectedGraphError):
+                search(Graph(3, [(0, 1)]), (0,))
 
     def test_leader_out_of_range(self):
-        with pytest.raises(ValueError):
-            distance_to_leader_vectors(path_graph(3), (5,))
+        for search in (pmi_greedy, pmi_exact):
+            with pytest.raises(ValueError, match="leader 5 out of range for n=3"):
+                search(path_graph(3), (5,))
 
     def test_duplicate_leaders_rejected(self):
-        with pytest.raises(ValueError):
-            distance_to_leader_vectors(path_graph(3), (0, 0))
+        for search in (pmi_greedy, pmi_exact):
+            with pytest.raises(ValueError, match="leaders must be distinct"):
+                search(path_graph(3), (0, 0))
 
 
 class TestIsPMI:
+    """The PMI condition as ``PMISequence`` checks it, on examples the scalar
+    oracle ``is_pmi_oracle`` decides too."""
+
     def test_length_five_example(self):
-        check = is_pmi([[0, 2], [2, 0], [1, 2], [2, 1], [3, 1]])
+        vecs = [[0, 2], [2, 0], [1, 2], [2, 1], [3, 1]]
+        check = is_pmi_oracle(vecs)
         assert check.ok
-        assert check.witnesses is not None
+        assert pmi_sequence(vecs, check.witnesses).witnesses == check.witnesses
 
     def test_equal_vectors_fail(self):
-        check = is_pmi([[0], [0]])
-        assert not check.ok
-        assert check.violation == (0, 1)
+        assert is_pmi_oracle([[0], [0]]).violation == (0, 1)
+        with pytest.raises(ValueError, match="PMI witness 0 for node 0 does not hold"):
+            pmi_sequence([[0], [0]], (0, 0))
 
     def test_two_leader_pair(self):
-        assert is_pmi([[0, 2], [2, 0]]).ok
+        assert is_pmi_oracle([[0, 2], [2, 0]]).witnesses == (0, 0)
+        assert len(pmi_sequence([[0, 2], [2, 0]], (0, 0))) == 2
 
     def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            is_pmi([[0, 1], [0]])
+        # The backward pass meets the short vector first.
+        with pytest.raises(ValueError, match="all vectors must have the same length"):
+            pmi_sequence([[0, 1], [0]], (0, 0))
 
     def test_witnesses_certify(self):
+        # Every coordinate that certifies position i is accepted there, every
+        # other one refused.
         vecs = [[0, 2], [2, 0], [1, 2], [2, 1], [3, 1]]
-        check = is_pmi(vecs)
-        for i, alpha in enumerate(check.witnesses):
-            for j in range(i + 1, len(vecs)):
-                assert vecs[i][alpha] < vecs[j][alpha]
+        witnesses = list(is_pmi_oracle(vecs).witnesses)
+        for i in range(len(vecs)):
+            for alpha in range(2):
+                certifies = all(vecs[i][alpha] < vecs[j][alpha] for j in range(i + 1, len(vecs)))
+                trial = witnesses[:i] + [alpha] + witnesses[i + 1 :]
+                if certifies:
+                    assert pmi_sequence(vecs, trial).witnesses == tuple(trial)
+                else:
+                    with pytest.raises(ValueError, match=f"PMI witness {alpha} for node {i} does not hold"):
+                        pmi_sequence(vecs, trial)
 
 
 class TestPMIExact:
@@ -110,7 +140,7 @@ class TestPMIExact:
     def test_path_two_leaders(self):
         seq = pmi_exact(path_graph(3), (0, 2))
         assert len(seq) == 3
-        assert is_pmi(seq.raw_vectors()).ok
+        assert is_pmi_oracle(seq.raw_vectors()).ok
 
     def test_guard_counts_search_work(self, monkeypatch):
         # P22 with an end leader: 22 distinct vectors and 23 reachable minima
@@ -126,7 +156,7 @@ class TestPMIExact:
         # 20-vector refusal of a search memoized on the chosen set.
         seq = pmi_exact(path_graph(1100), (0,))
         assert seq.nodes() == tuple(range(1100))
-        assert is_pmi(seq.raw_vectors()).ok
+        assert is_pmi_oracle(seq.raw_vectors()).ok
 
     def test_iterator_leaders_match_tuple(self):
         g = cycle_graph(6)
@@ -144,7 +174,7 @@ class TestPMIExact:
         for seed in range(8):
             g = random_connected_graph(6, 0.5, seed=seed)
             leaders = (0, g.n - 1)
-            distinct = {dv.dist for dv in distance_to_leader_vectors(g, leaders)}
+            distinct = set(distance_vectors(g, leaders))
             if len(distinct) > 6:
                 continue
             assert len(pmi_exact(g, leaders)) == brute_pmi_length(distinct)
@@ -154,7 +184,7 @@ class TestPMIGreedy:
     def test_single_leader_counts_distinct_distances(self):
         for seed in range(6):
             g = random_connected_graph(10, 0.3, seed=seed)
-            distances = {dv.dist for dv in distance_to_leader_vectors(g, (0,))}
+            distances = set(distance_vectors(g, (0,)))
             assert len(pmi_greedy(g, (0,))) == len(distances)
 
     def test_path_two_leaders(self):
@@ -170,9 +200,9 @@ class TestPMIGreedy:
             g = random_connected_graph(8, 0.4, seed=seed + 50)
             leaders = (1, 4)
             greedy = pmi_greedy(g, leaders)
-            assert is_pmi(greedy.raw_vectors()).ok
+            assert is_pmi_oracle(greedy.raw_vectors()).ok
             exact = pmi_exact(g, leaders)
-            assert is_pmi(exact.raw_vectors()).ok
+            assert is_pmi_oracle(exact.raw_vectors()).ok
             assert len(greedy) <= len(exact)
 
     def test_leader_permutation_keeps_max_length(self):
@@ -248,25 +278,38 @@ class TestPMIOracleProperties:
         g, leaders = instance
         seq = pmi_greedy(g, leaders)
         assert seq == greedy_pmi_oracle(g, leaders)
-        check = is_pmi_oracle(seq.raw_vectors())
-        assert check.ok and is_pmi(seq.raw_vectors()) == check
+        assert is_pmi_oracle(seq.raw_vectors()).ok
 
     @settings(max_examples=150, deadline=None)
     @given(pmi_instances(), st.data())
     def test_is_pmi_matches_scalar_oracle(self, instance, data):
-        # Any ordering of any subset of the distance vectors, repeats allowed:
-        # both PMI runs and violations with their blockers are exercised.
+        # Any ordering of any subset of the distance vectors, repeats allowed,
+        # so both PMI runs and violations are exercised. PMISequence builds with
+        # the oracle's witnesses on a run the oracle accepts, and with drawn
+        # witnesses iff each one certifies its position.
         g, leaders = instance
-        vectors = [dv.dist for dv in distance_to_leader_vectors(g, leaders)]
+        vectors = distance_vectors(g, leaders)
         picks = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n + 2))
-        run = [vectors[v] for v in picks]
-        assert is_pmi(run) == is_pmi_oracle(run)
+        run = tuple(DistanceVector(v, vectors[v]) for v in picks)
+        check = is_pmi_oracle([dv.dist for dv in run])
+        if check.ok:
+            assert PMISequence(run, check.witnesses).witnesses == check.witnesses
+        drawn = data.draw(st.lists(st.integers(0, len(leaders) - 1), min_size=len(run), max_size=len(run)))
+        holds = all(
+            all(later.dist[w] > dv.dist[w] for later in run[i + 1 :]) for i, (dv, w) in enumerate(zip(run, drawn))
+        )
+        assert check.ok or not holds
+        if holds:
+            assert PMISequence(run, tuple(drawn)).witnesses == tuple(drawn)
+        else:
+            with pytest.raises(ValueError, match="does not hold"):
+                PMISequence(run, tuple(drawn))
 
     @settings(max_examples=100, deadline=None)
     @given(pmi_instances())
     def test_exact_length_matches_brute_force(self, instance):
         g, leaders = instance
-        distinct = {dv.dist for dv in distance_to_leader_vectors(g, leaders)}
+        distinct = set(distance_vectors(g, leaders))
         assume(len(distinct) <= 7)
         seq = pmi_exact(g, leaders)
         assert len(seq) == brute_pmi_length(distinct)
@@ -631,7 +674,7 @@ class TestRankProperties:
         # example the first trial reaches the target a block before the second and would
         # report 5 if it kept counting.
         g, leaders, weights, target = stack
-        u, v = _edge_arrays(g)
+        u, v = g._arrays
         laps = laplacian(g.n, u, v, np.array(weights, dtype=np.float64))
         steps = np.mod(-laps, _PRIME)  # (-L)^T, as L is symmetric
         inputs = input_matrix(g.n, leaders).T.astype(np.int64)

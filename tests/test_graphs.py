@@ -23,7 +23,7 @@ from netaug import (
     validate_ssc_bound,
     write_edge_list,
 )
-from netaug.graphs import DENSE_NODE_GUARD, _edge_arrays, _missing_pairs
+from netaug.graphs import DENSE_NODE_GUARD, _missing_pairs
 from helpers import (
     all_pairs_min_plus,
     complement_edges,
@@ -207,10 +207,12 @@ class TestComplement:
     @example(n=1, p=0.0, seed=0)
     @example(n=9, p=1.0, seed=0)
     def test_missing_pairs_are_the_sorted_complement(self, n, p, seed):
-        # The randomized scan shuffles these arrays, so their order is part of
-        # the seeded output.
+        # The randomized scan shuffles the mask's np.nonzero arrays, so their
+        # order is part of the seeded output.
         g = erdos_renyi(GenSpec(model="erdos-renyi", n=n, p=p, seed=seed))
-        lo, hi = _missing_pairs(g)
+        missing = _missing_pairs(g)
+        assert missing.shape == (n, n) and missing.dtype == bool
+        lo, hi = np.nonzero(missing)
         assert list(zip(lo.tolist(), hi.tolist())) == sorted(complement_edges(g))
 
     def test_missing_pairs_size_guard(self):
@@ -226,7 +228,7 @@ class TestEdgeArrays:
     def test_equal_sorted_edges(self, n, p, seed):
         # sorted_edges reads these arrays, so compare with the frozenset itself.
         g = erdos_renyi(GenSpec(model="erdos-renyi", n=n, p=p, seed=seed))
-        u, v = _edge_arrays(g)
+        u, v = g._arrays
         assert list(zip(u.tolist(), v.tolist())) == sorted(g.edges) == g.sorted_edges()
 
 
@@ -246,8 +248,7 @@ class TestDeferredViews:
 
     def test_edge_arrays_are_cached_and_read_only(self):
         g = path_graph(4)
-        u, v = _edge_arrays(g)
-        assert _edge_arrays(g)[0] is u and _edge_arrays(g)[1] is v
+        u, v = g._arrays
         for array in (u, v):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 3
