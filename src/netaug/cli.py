@@ -52,8 +52,8 @@ def _read_graph(path: str, guard: str | None = None) -> Graph:
 
 
 def _read_json(path: str, loader):
-    """``loader`` applied to the JSON in ``path``; a missing field or a value
-    of the wrong shape is a domain error."""
+    """``loader`` applied to the JSON in ``path``; a missing field, a value of
+    the wrong shape or one the loader refuses is a domain error naming ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     try:
@@ -62,6 +62,8 @@ def _read_json(path: str, loader):
         raise ValueError(f"{path}: missing field {exc}") from None
     except TypeError as exc:
         raise ValueError(f"{path}: wrong JSON shape: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _pmi_for(graph, leaders, method: str):

@@ -93,8 +93,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        """The config whose fields are the keys of ``data``; a missing
-        required field raises ``KeyError``, an unknown one ``ValueError``."""
+        """The config whose fields are the keys of ``data``; a missing required
+        field raises ``KeyError``, an unknown one or a grid that is not a list ``ValueError``."""
         values = {
             f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING
         }
@@ -105,10 +105,10 @@ class ExperimentConfig:
         for name in ("n", "instances", "repetitions", "master_seed"):
             if name in values:
                 values[name] = _json_int(values[name], name)
-        values["parameters"] = tuple(values["parameters"])
-        values["leader_counts"] = tuple(
-            _json_int(x, "leader_counts entry") for x in values["leader_counts"]
-        )
+        for name in ("parameters", "leader_counts"):  # a string would be split into characters
+            if not isinstance(values[name], list):
+                raise ValueError(f"{name} must be a JSON list, got {values[name]!r}")
+        values["leader_counts"] = [_json_int(x, "leader_counts entry") for x in values["leader_counts"]]
         return cls(**values)
 
     def to_json(self) -> dict:

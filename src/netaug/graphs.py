@@ -10,17 +10,16 @@ one matrix behind both the rank check (random integer weights) and the
 Kirchhoff index (unit weights).
 
 A ``Graph`` stores its edge set only, as two sorted, read-only int arrays
-``u < v``, checked and built in one bulk pass, and allocates nothing per node.
-Every layer reads those arrays; the frozenset of edges, the neighbour lists
-behind BFS and the adjacency sets are built from them on first use and cached
-on the instance.
+``u < v``, checked in one bulk pass (a per-edge pass words the first bad edge
+only if it fails), and allocates nothing per node. Every layer reads the arrays;
+the frozenset of edges and the neighbour lists behind BFS are built from them on
+first use and cached. A graph grows as a new one: ``Graph(g.n, chain(g.edges, extra))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
@@ -54,11 +53,11 @@ DENSE_NODE_GUARD = 4096
 class Graph:
     """Simple undirected graph on nodes ``0..n-1``.
 
-    Instances are immutable by convention: build once, then share freely.
-    ``add_edges`` returns a new graph instead of mutating. The edge set is
-    stored as two sorted, read-only int arrays ``u < v``; ``edges``,
-    ``adjacency`` and the neighbour lists behind BFS are views built from them
-    on first access and cached, so caching them changes nothing a caller sees.
+    Instances are immutable by convention: build once, then share freely;
+    ``Graph(g.n, chain(g.edges, extra))`` is ``g`` with ``extra`` added. The
+    edge set is stored as two sorted, read-only int arrays ``u < v``; ``edges``
+    and the neighbour lists behind BFS are views built from them on first
+    access and cached, so caching them changes nothing a caller sees.
 
     Parameters
     ----------
@@ -66,11 +65,11 @@ class Graph:
         Node count: a positive integer (NumPy integers included, bools not).
     edges : iterable of (int, int)
         Edge list; reversed duplicates collapse to one edge. Endpoints are
-        integers (NumPy integers included). The first bad edge raises
-        ``ValueError``: an endpoint that is not an integer (bools and floats
-        included) is named before a range error, and a range error comes
-        before a self-loop; an edge that is not a pair raises what unpacking
-        it raises. Ids are stored as intp: one beyond it is out of range, or
+        integers (NumPy integers included). If the bulk check fails, a pass in
+        list order words the first bad edge: one that is not a pair raises what
+        unpacking it raises, else ``ValueError`` names an endpoint that is not
+        an integer (bools and floats included), then a range error, then a
+        self-loop. Ids are stored as intp: one beyond it is out of range, or
         raises ``OverflowError`` if n is beyond intp too. Nothing is
         allocated per node.
     """
@@ -80,37 +79,27 @@ class Graph:
         if n <= 0:
             raise ValueError(f"node count must be positive, got {n}")
         self.n = n
-        # Each check runs in bulk over the edges ahead of the first bad one found
-        # so far (``stop``), so the last one found is the first bad edge.
-        pairs = list(edges)
-        stop = len(pairs)
-        try:
+        pairs, fault = list(edges), None
+        try:  # one bulk pass accepts every edge or raises
             us, vs = [u for u, _ in pairs], [v for _, v in pairs]
-        except (TypeError, ValueError):  # some edge is not a pair
-            stop = next(i for i, e in enumerate(pairs) if not hasattr(e, "__len__") or len(e) != 2)
-            us, vs = [u for u, _ in pairs[:stop]], [v for _, v in pairs[:stop]]
-        kinds = set(map(type, us)) | set(map(type, vs))
-        bad = {t for t in kinds - {int} if issubclass(t, bool) or not issubclass(t, Integral)}
-        if bad:
-            stop = next(i for i, e in enumerate(zip(us, vs)) if not bad.isdisjoint(map(type, e)))
-            us, vs = us[:stop], vs[:stop]
-        try:
+            kinds = set(map(type, us)) | set(map(type, vs))
+            if any(issubclass(t, bool) or not issubclass(t, Integral) for t in kinds - {int}):
+                raise TypeError("an edge endpoint is not an integer")
             x, y = (np.fromiter(w, dtype=np.intp, count=len(w)) for w in (us, vs))
-        except OverflowError:  # an endpoint beyond intp: out of range unless n is too
-            stop = next((i for i, e in enumerate(zip(us, vs)) if not 0 <= min(e) <= max(e) < n), None)
-            if stop is None:
-                raise
-            x, y = (np.fromiter(w[:stop], dtype=np.intp, count=stop) for w in (us, vs))
-        u, v = np.minimum(x, y), np.maximum(x, y)
-        wrong = np.flatnonzero((u < 0) | (v >= n) | (u == v))
-        if wrong.size:
-            stop = int(wrong[0])
-        if stop < len(pairs):  # word the first bad edge: its type, then its range, then a loop
-            a, b = pairs[stop]
-            a, b = _integer(a, "edge endpoint"), _integer(b, "edge endpoint")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-            raise ValueError(f"self-loop on node {a} is not allowed")
+            u, v = np.minimum(x, y), np.maximum(x, y)
+            if np.any((u < 0) | (v >= n) | (u == v)):
+                raise ValueError("an edge is out of range or a self-loop")
+        except (TypeError, ValueError, OverflowError) as error:
+            fault = error
+        if fault is not None:
+            for a, b in pairs:  # word the first bad edge: unpack, types, range, then a loop
+                a = a if type(a) is int else _integer(a, "edge endpoint")
+                b = b if type(b) is int else _integer(b, "edge endpoint")
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+                if a == b:
+                    raise ValueError(f"self-loop on node {a} is not allowed")
+            raise fault  # every edge is good, but an id and n are beyond intp
         order = np.lexsort((v, u))
         u, v = u[order], v[order]
         new = np.ones(u.size, dtype=bool)
@@ -122,12 +111,8 @@ class Graph:
     @cached_property
     def edges(self) -> frozenset[Edge]:
         """The edge set as int pairs ``(u, v)``, ``u < v``, built on first access."""
-        return frozenset(self.sorted_edges())
-
-    @cached_property
-    def adjacency(self) -> list[set[int]]:
-        """The neighbour set of every node, built on first access; treat it as read-only."""
-        return list(map(set, self._neighbours))
+        u, v = self._arrays
+        return frozenset(zip(u.tolist(), v.tolist()))
 
     @cached_property
     def _neighbours(self) -> list[list[int]]:
@@ -140,14 +125,6 @@ class Graph:
 
     def num_edges(self) -> int:
         return self._arrays[0].size
-
-    def sorted_edges(self) -> list[Edge]:
-        u, v = self._arrays
-        return list(zip(u.tolist(), v.tolist()))
-
-    def add_edges(self, extra) -> "Graph":
-        """Return a new graph with ``extra`` edges added (duplicates ignored)."""
-        return Graph(self.n, chain(self.sorted_edges(), extra))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and all(

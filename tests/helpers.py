@@ -6,7 +6,7 @@ sorted pass, per-coordinate scans vs suffix minima, a MILP optimum vs clique
 chains and greedy scans, pseudo-inverse resistances vs eigenvalue sums,
 rational elimination vs modular Krylov blocks, Python pair lists and
 ``rng.choice`` vs array draws, frontier sets over edge lists vs cached
-adjacency sets, a per-edge check vs bulk masks over all edges, one compare
+neighbour lists, a per-edge check vs bulk masks over all edges, one compare
 per monitored node or pair vs packed guard-bit words) so they can catch bugs
 in the implementations they check.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -119,6 +120,11 @@ def complement_edges(g: Graph) -> set[tuple[int, int]]:
     return {(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges}
 
 
+def with_edges(g: Graph, extra) -> Graph:
+    """``g`` with the ``extra`` edges added, built as a new graph."""
+    return Graph(g.n, chain(g.edges, extra))
+
+
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     """First connected G(n, p) draw from the seeded stream."""
     for attempt in range(1000):
@@ -143,7 +149,7 @@ def all_pairs_min_plus(g: Graph) -> np.ndarray:
 def bfs_oracle(g: Graph, sources) -> dict[int, list]:
     """Hop distances from each source (``None`` where unreachable), expanding
     whole frontier sets over neighbour lists built here from ``g.edges``, so
-    neither ``g.adjacency`` nor ``bfs_distances`` is read."""
+    neither ``g._neighbours`` nor ``bfs_distances`` is read."""
     neighbours: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
         neighbours[u].append(v)
@@ -167,7 +173,7 @@ def legal_alone_oracle(g: Graph, pairs) -> int:
     before = all_pairs_min_plus(g)
     legal = 0
     for edge in sorted(complement_edges(g)):
-        after = all_pairs_min_plus(g.add_edges([edge]))
+        after = all_pairs_min_plus(with_edges(g, [edge]))
         legal += all(after[a, b] == before[a, b] for a, b in pairs)
     return legal
 
@@ -329,7 +335,7 @@ def full_subset_pair_optimum(g: Graph, a: int, b: int) -> int:
         extra = [comp[i] for i in range(len(comp)) if mask >> i & 1]
         if g.num_edges() + len(extra) <= best:
             continue
-        h = g.add_edges(extra)
+        h = with_edges(g, extra)
         if bfs_distances(h, a)[b] == k:
             best = g.num_edges() + len(extra)
     return best
@@ -377,7 +383,7 @@ def optimum_oracle(g: Graph, pairs) -> tuple[int, frozenset]:
                bounds=Bounds(lower, upper), options={"mip_rel_gap": 0})
     assert res.status == 0, f"MILP did not end optimal: {res.message}"
     added = frozenset(e for e, z in zip(missing, res.x) if z > 0.5)
-    after = all_pairs_min_plus(g.add_edges(added))
+    after = all_pairs_min_plus(with_edges(g, added))
     assert all(after[ell, v] == before[ell, v] for ell, v in pairs)
     assert len(added) == round(-res.fun)
     return len(added), added

@@ -35,7 +35,7 @@ from netaug import (
 )
 from netaug.cli import cli
 
-from helpers import bfs_oracle, complement_edges, is_pmi_oracle, optimum_oracle
+from helpers import bfs_oracle, complement_edges, is_pmi_oracle, optimum_oracle, with_edges
 
 
 def report(name: str, failures: list, detail: str = ""):
@@ -149,7 +149,7 @@ def test_a3_pair_solver_feasible_and_one_maximal(a2_corpus):
         if bfs_distances(h, a)[b] != k:
             failures.append((a, b, "distance broken"))
         for extra in complement_edges(h):
-            if bfs_distances(h.add_edges([extra]), a)[b] >= k:
+            if bfs_distances(with_edges(h, [extra]), a)[b] >= k:
                 failures.append((a, b, extra, "missed a legal edge"))
         gap = optimum - len(res.added)
         if gap:

@@ -46,6 +46,7 @@ from helpers import (
     reference_randomized_scan,
     shortcut_legal_oracle,
     star_graph,
+    with_edges,
 )
 
 
@@ -161,7 +162,7 @@ class TestAugmentPair:
             h = Graph(8, res.edges_after)
             assert bfs_distances(h, 0)[b] == k
             for extra in complement_edges(h):
-                probe = h.add_edges([extra])
+                probe = with_edges(h, [extra])
                 assert bfs_distances(probe, 0)[b] < k
 
     def test_upper_bound_respected(self):
@@ -246,7 +247,7 @@ class TestBruteForce:
                 continue
             size, added = optimum_oracle(g, [(0, b)])
             assert size == len(augment_pair(g, 0, b).added)
-            best = g.add_edges(added)
+            best = with_edges(g, added)
             da, db = bfs_distances(best, 0), bfs_distances(best, b)
             assert all(da[v] + db[v] == k for v in range(6))
             levels = [tuple(sorted(v for v in range(6) if da[v] == i)) for i in range(k + 1)]
@@ -316,7 +317,7 @@ class TestAgainstOptimum:
         assert level_partition(g, 0, 1) == ((0,), (2,), (3, 8), (4, 7), (5, 6), (1,))
         size, added = optimum_oracle(g, [(0, 1)])
         assert (size, len(augment_pair(g, 0, 1).added)) == (9, 8)
-        best = g.add_edges(added)
+        best = with_edges(g, added)
         assert build_clique_chain(level_partition(best, 0, 1)) == best.edges
 
 
@@ -469,7 +470,7 @@ class TestRandomized:
             (ell, v): bfs_distances(g, ell)[v] for ell in leaders for v in seq.nodes() if ell != v
         }
         for extra in complement_edges(h):
-            probe = h.add_edges([extra])
+            probe = with_edges(h, [extra])
             broke = any(
                 bfs_distances(probe, ell)[v] != d for (ell, v), d in original.items()
             )

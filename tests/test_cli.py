@@ -298,6 +298,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
 
+    def test_config_parameters_string_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": "0.2", "leader_counts": [2]}))
+        assert cli(["experiment", "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: parameters must be a JSON list, got '0.2'\n"
+
     def test_config_fractional_attachment_count_is_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "barabasi-albert", "n": 8, "parameters": [2.5],

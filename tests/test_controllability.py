@@ -43,6 +43,7 @@ from helpers import (
     path_graph,
     random_connected_graph,
     star_graph,
+    with_edges,
 )
 
 
@@ -327,7 +328,7 @@ class TestPMIOracleProperties:
 
 def graph_laplacian(g: Graph, weights=None) -> np.ndarray:
     """``laplacian`` over the graph's sorted edges; unit int64 weights by default."""
-    u, v = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2).T
+    u, v = g._arrays
     return laplacian(g.n, u, v, np.ones(u.size, dtype=np.int64) if weights is None else weights)
 
 
@@ -547,7 +548,7 @@ class TestStackedValidation:
         trials, seed, leaders = 40, 9, (0, 7, 19)
         n = next(n for n in range(2, DENSE_NODE_GUARD) if per_stack(n) < trials)
         g = random_connected_graph(n, 3 / n, seed=2)
-        u, v = np.array(g.sorted_edges()).reshape(-1, 2).T
+        u, v = g._arrays
         inputs = input_matrix(n, leaders)
         laps = [
             laplacian(n, u, v, np.random.default_rng([seed, t]).integers(1, _PRIME, size=u.size))
@@ -575,7 +576,7 @@ class TestStackedValidation:
         # fall short; the others run on as a non-contiguous part of the stack.
         leaves = 6
         g = star_graph(leaves)
-        u, v = np.array(g.sorted_edges()).reshape(-1, 2).T
+        u, v = g._arrays
         distinct = np.arange(1, leaves + 1) * 1_000_003
         weights = np.array([distinct, [5] * leaves, distinct[::-1], [5, 5, 9, 9, 9, 9], distinct * 7])
         inputs = input_matrix(leaves + 1, (0,))
@@ -635,7 +636,7 @@ def weighted_instances(draw, min_n=1, max_n=7, max_leaders=None, max_weight=50):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     g = Graph(n, edges | extra)
-    weights = np.array([draw(st.integers(1, max_weight)) for _ in g.sorted_edges()], dtype=np.int64)
+    weights = np.array([draw(st.integers(1, max_weight)) for _ in range(g.num_edges())], dtype=np.int64)
     order = draw(st.permutations(range(n)))
     leaders = tuple(order[: draw(st.integers(1, min(n, max_leaders or n)))])
     return g, weights, leaders
@@ -813,7 +814,7 @@ class TestKirchhoffIndex:
             if not missing:
                 continue
             extra = missing[int(rng.integers(0, len(missing)))]
-            assert kirchhoff_index(g.add_edges([extra])) < kirchhoff_index(g) - 1e-9
+            assert kirchhoff_index(with_edges(g, [extra])) < kirchhoff_index(g) - 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(weighted_instances(), st.data())
@@ -823,4 +824,4 @@ class TestKirchhoffIndex:
         assert before == pytest.approx(effective_resistance_total(g) / g.n, rel=1e-9)
         missing = sorted({(u, v) for u in range(g.n) for v in range(u + 1, g.n)} - g.edges)
         if missing:
-            assert kirchhoff_index(g.add_edges([data.draw(st.sampled_from(missing))])) < before
+            assert kirchhoff_index(with_edges(g, [data.draw(st.sampled_from(missing))])) < before

@@ -98,6 +98,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_json(data)
 
+    @pytest.mark.parametrize("field, value", [("parameters", "0.2"), ("leader_counts", "2")])
+    def test_json_grid_string_rejected(self, field, value):
+        # A string would be split into characters: "0.2" read as the grid "0", ".", "2".
+        data = {"model": "erdos-renyi", "n": 8, "parameters": [0.4], "leader_counts": [2]}
+        with pytest.raises(ValueError, match=f"^{field} must be a JSON list, got '{value}'$"):
+            ExperimentConfig.from_json(dict(data, **{field: value}))
+
     @pytest.mark.parametrize(
         "key", ["repetiton", "resample_until_connected", "output_path", "Model"]
     )
