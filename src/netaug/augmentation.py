@@ -187,16 +187,15 @@ def _packed_at_least(top: np.ndarray, low: np.ndarray) -> np.ndarray:
     w = int(max(top.max(initial=0), low.max(initial=0))).bit_length() + 1
     fields = 64 // w
     words = max(1, -(-c // fields))
-    shifts = np.arange(0, fields * w, w, dtype=np.uint64)[:, None]
+    # Fields never overlap, so a product with 2**(i*w) per field sums without carries.
+    weights = np.uint64(1) << np.arange(0, fields * w, w, dtype=np.uint64)
     guards = np.uint64(sum(1 << (i + w - 1) for i in range(0, fields * w, w)))
 
     def pack(table: np.ndarray) -> np.ndarray:
         """(words, n): column ``i * words + j`` of ``table`` in field i of word j."""
         cells = np.zeros((n, fields * words), dtype=np.uint64)
         cells[:, :c] = table
-        cells = cells.reshape(n, fields, words)
-        cells <<= shifts
-        return np.ascontiguousarray(np.bitwise_or.reduce(cells, axis=1).T)
+        return np.ascontiguousarray((weights @ cells.reshape(n, fields, words)).T)
 
     top_words, low_words = pack(top) | guards, pack(low)
     ok = np.empty((n, n), dtype=bool)
@@ -345,6 +344,26 @@ def _value_bits(guard_bits: int, w: int) -> int:
     return guard_bits - (guard_bits >> (w - 1))
 
 
+def _inert(g: Graph, at: np.ndarray, floor: np.ndarray, legal: np.ndarray):
+    """The pairs of the ``_legal_alone`` mask ``legal`` that keep every
+    monitored distance in every graph the scan can reach, as two int arrays
+    in row-major u < v order.
+
+    Every such graph H lies between G and G*, G plus every pair legal alone,
+    so ``lb(a, b)``, 0 if a = b, 1 if a and b are adjacent in G* and 2
+    otherwise, never exceeds ``d_H(a, b)``. A pair that passes
+    ``_legal_alone``'s test with ``lb`` in place of the distances is
+    therefore legal in every H, G included, so it is in ``legal``. The ``lb``
+    sums ``lb(l, x) + 1 + lb(y, v)`` reach at most 5, so a floor above 5
+    leaves no such pair and the pass is skipped."""
+    if floor.max(initial=0) > 5:
+        none = np.empty(0, dtype=np.intp)
+        return none, none
+    sources = at.argmin(axis=0)  # the node at distance 0 in each column
+    lb = np.minimum(at, 2 - (legal[:, sources] | legal[sources].T))
+    return np.nonzero(_legal_alone(g, lb, floor)[0])
+
+
 def augment_randomized(
     g: Graph,
     leaders: Sequence[int],
@@ -389,6 +408,18 @@ def augment_randomized(
       node lowered to ``cap - 1`` or more lowers no neighbour, so its walk
       is skipped; the adjacency sets are built, and brought up to date with
       the accepted edges, only when a walk needs them.
+    - Some pairs need no test. Every graph H a repetition reaches lies
+      between the input graph G and G*, G plus every pair legal alone, so
+      ``lb`` (0 from a node to itself, 1 to a neighbour in G*, else 2) never
+      exceeds a distance in H. A pair that passes the legality test with
+      ``lb`` in place of every distance (``_inert``) is legal in every such
+      H, so every repetition accepts it, and it changes no other decision: a
+      candidate is legal in H iff it is legal in H plus the pair, because
+      the pair stays legal once the candidate is added and distances only
+      fall. The repetitions scan only the other pairs, in the same shuffled
+      order, and the winner's result adds these back; every repetition's
+      count moves by the same number, so the winner, its edges and ``T`` are
+      those of the full scan.
 
     ``seed`` and ``repetitions`` must be integers, ``repetitions`` >= 1
     (``ValueError`` otherwise).
@@ -397,8 +428,11 @@ def augment_randomized(
     start = time.perf_counter()
     at, floor = _instance(g, leaders, pmi)
     legal, need = _legal_alone(g, at, floor)
+    inert = _inert(g, at, floor, legal)
     lo, hi = np.nonzero(_missing_pairs(g))  # the scan's candidates, row-major u < v
-    legal = legal[lo, hi]
+    alone = legal[lo, hi]  # sums to T
+    legal[inert] = False  # every repetition accepts these: none is tested
+    legal = legal[lo, hi] if inert[0].size else alone
     span = floor - 1  # -1 where leader k is monitored node j
     m, lead = need.shape[1], at.shape[1] - floor.shape[1]
 
@@ -490,8 +524,9 @@ def augment_randomized(
                             need_at[z] = rise ^ ((need_at[z] ^ rise) & keep)
         if len(added) > len(best_added):
             best_added = added
+    added = chain(best_added, zip(inert[0].tolist(), inert[1].tolist()))
     return _result(
-        "randomized", g, best_added, legal, start,
+        "randomized", g, added, alone, start,
         pmi_length=len(pmi), seed=seed, repetitions=repetitions,
     )
 

@@ -154,8 +154,19 @@ def pmi_exact(g: Graph, leaders: Sequence[int]) -> PMISequence:
     the longest continuation and the first vector in sorted order that starts one.
     The work, reachable minima times distinct vectors, is guarded by
     ``PMI_EXACT_GUARD`` (``SizeGuardError``; use ``pmi_greedy`` there).
+
+    With one leader the longest sequence is every distinct distance in
+    ascending order, each at its smallest node id with witness 0, which is
+    the search's pick and ``pmi_greedy``'s; that is returned without a search.
     """
     leaders = _check_leaders(g.n, leaders)
+    if len(leaders) == 1:
+        return pmi_greedy(g, leaders)
+    return _pmi_search(g, leaders)
+
+
+def _pmi_search(g: Graph, leaders: tuple[int, ...]) -> PMISequence:
+    """``pmi_exact``'s memoized search for checked ``leaders``."""
     rep = _distinct_vectors(g, leaders)
     vectors = sorted(rep)
 

@@ -61,6 +61,9 @@ class ExperimentConfig:
     measure_runtime: bool = False
 
     def __post_init__(self):
+        for name in ("parameters", "leader_counts"):  # a string would be split into characters
+            if isinstance(grid := getattr(self, name), str):
+                raise ValueError(f"{name} must be a sequence of values, got {grid!r}")
         if not self.parameters:
             raise ValueError("parameter grid must not be empty")
         for value in self.parameters:

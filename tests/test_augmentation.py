@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netaug import (
     DisconnectedGraphError,
     DistanceVector,
+    GenSpec,
     Graph,
     PMISequence,
     SizeGuardError,
@@ -21,12 +22,14 @@ from netaug import (
     bfs_distances,
     build_clique_chain,
     classify_fixed_nodes,
+    generate,
     kirchhoff_index,
     level_partition,
     pmi_greedy,
     success_probability_bound,
 )
-from netaug.augmentation import _BLOCK_ROWS, _chain, _legal_alone
+from netaug import augmentation
+from netaug.augmentation import _BLOCK_ROWS, _chain, _inert, _instance, _legal_alone
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     all_pairs_min_plus,
@@ -650,6 +653,81 @@ class TestRandomizedCaps:
             assert res.added
 
 
+def inert_pairs(g, leaders, seq):
+    """The pairs legal alone that the scan adds without testing them."""
+    at, floor = _instance(g, leaders, seq)
+    legal, _ = _legal_alone(g, at, floor)
+    x, y = _inert(g, at, floor, legal)
+    return set(zip(x.tolist(), y.tolist()))
+
+
+@st.composite
+def inert_instances(draw):
+    """A small dense G(n, p) draw whose monitored distances are all at most 5,
+    where inert pairs abound, or a path with chords and an end leader, whose
+    largest monitored distance is 6 or more, so the inert pass is skipped."""
+    dense = draw(st.booleans())
+    if dense:
+        n = draw(st.integers(6, 20))
+        g = random_connected_graph(n, draw(st.floats(0.3, 0.8)), seed=draw(st.integers(0, 10**6)))
+        leaders = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True)))
+    else:
+        g = path_with_chords(draw(st.integers(12, 24)))
+        leaders = (0, *draw(st.lists(st.integers(1, g.n - 1), max_size=3, unique=True)))
+    seq = pmi_setup(g, leaders)
+    assume((largest_cap(g, leaders, seq) <= 4) == dense)  # the largest floor is the cap plus one
+    return g, leaders, seq
+
+
+class TestInertPairs:
+    """Pairs legal in every graph a repetition can reach are added without a
+    test; the scan must still equal the full BFS replay."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(inert_instances(), st.integers(0, 2**32 - 3), st.integers(1, 3))
+    def test_equals_reference_and_every_repetition_takes_the_inert_pairs(self, instance, seed,
+                                                                        repetitions):
+        g, leaders, seq = instance
+        res = augment_randomized(g, leaders, seq, seed=seed, repetitions=repetitions)
+        assert res.edges_after == reference_randomized_scan(g, leaders, seq, seed=seed,
+                                                            repetitions=repetitions)
+        inert = inert_pairs(g, leaders, seq)
+        if largest_cap(g, leaders, seq) >= 5:
+            assert not inert  # a floor of 6 or more: the pass is skipped
+        for one in range(seed, seed + 3):
+            assert inert <= reference_randomized_scan(g, leaders, seq, seed=one, repetitions=1)
+
+    def test_a7_instance_is_mostly_inert(self):
+        # ER(50, 0.2) with 5 leaders, the shape of the A7 grid: most pairs legal
+        # alone are inert, and adding them all at once keeps every monitored distance.
+        g, leaders = generate(GenSpec("erdos-renyi", 50, p=0.2, seed=0)), (0, 10, 20, 30, 40)
+        seq = pmi_setup(g, leaders)
+        inert = inert_pairs(g, leaders, seq)
+        res = augment_randomized(g, leaders, seq, seed=1, repetitions=2)
+        assert 2 * len(inert) > res.upper_bound_addable and inert <= res.added
+        before, after = bfs_oracle(g, leaders), bfs_oracle(with_edges(g, inert), leaders)
+        assert all(after[ell][v] == before[ell][v] for ell in leaders for v in seq.nodes())
+
+    def test_a_pair_wrongly_marked_inert_breaks_the_equality(self, monkeypatch):
+        # Mutation check: on this instance the first legal pair that is not
+        # inert, (0, 6), is rejected by the replay, so adding it untested shows.
+        g, leaders = random_connected_graph(10, 0.3, seed=1), (0, 5)
+        seq = pmi_setup(g, leaders)
+        expected = reference_randomized_scan(g, leaders, seq, seed=1, repetitions=1)
+        assert augment_randomized(g, leaders, seq, seed=1).edges_after == expected
+        inert = _inert
+
+        def one_more(g, at, floor, legal):
+            x, y = inert(g, at, floor, legal)
+            taken = set(zip(x.tolist(), y.tolist()))
+            extra = next(p for p in zip(*np.nonzero(legal)) if tuple(p) not in taken)
+            assert tuple(map(int, extra)) == (0, 6) and (0, 6) not in expected
+            return np.append(x, extra[0]), np.append(y, extra[1])
+
+        monkeypatch.setattr(augmentation, "_inert", one_more)
+        assert augment_randomized(g, leaders, seq, seed=1).edges_after != expected
+
+
 class TestUpperBound:
     def test_path_nothing_addable(self):
         g = path_graph(3)
@@ -765,18 +843,31 @@ class TestDenseMasks:
     def test_peak_memory_at_n_1000(self):
         g, leaders = path_with_random_chords(1000, 100, 3, seed=0)
         seq = pmi_setup(g, leaders)
-        for run in (augment_intersection, addable_edge_upper_bound):
+        # The scan runs on a near-complete graph instead, whose monitored
+        # distances are at most 2, so every pair legal alone is inert and the
+        # inert pass runs over all 1000 nodes. Under tracemalloc one scan of
+        # the path takes ~15 s (0.6 s untraced), spent on its big-int fields.
+        rng = np.random.default_rng(0)
+        lo, hi = np.nonzero(np.triu(rng.random((1000, 1000)) < 0.995, 1))
+        dense, hubs = Graph(1000, zip(lo.tolist(), hi.tolist())), (0, 500, 999)
+        runs = [(augment_intersection, g, leaders, seq, 11_000_000),
+                (addable_edge_upper_bound, g, leaders, seq, 11_000_000),
+                (augment_randomized, dense, hubs, pmi_setup(dense, hubs), 20_000_000)]
+        dense.edges  # the input's own frozenset, built once before tracing
+        for run, graph, ends, pmi, bound in runs:
             tracemalloc.start()
             try:
-                run(g, leaders, seq)
+                run(graph, ends, pmi)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             # Measured 7.68 MB for the intersection and 5.73 MB for the bound
             # (99 PMI nodes, 498 401 missing pairs): each n x n bool mask is
             # 1 MB and the packed words 1-2 MB. The missing pairs as two int
-            # arrays, or one int64 n x n temporary, would add 8 MB.
-            assert peak < 11_000_000, run.__name__
+            # arrays, or one int64 n x n temporary, would add 8 MB. The scan
+            # measured 17.5 MB, as before the inert pass (2566 missing pairs,
+            # 2565 legal alone and inert).
+            assert peak < bound, run.__name__
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import tracemalloc
 from operator import mul
 
@@ -28,7 +29,8 @@ from netaug import (
 )
 import netaug.controllability as controllability
 from netaug.controllability import (
-    _PRIME, _STACK_BYTES, _distinct_vectors, _mulmod, _rank_mod, _residues, _stack_ranks
+    _PRIME, _STACK_BYTES, _distinct_vectors, _mulmod, _pmi_search, _rank_mod, _residues,
+    _stack_ranks,
 )
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
@@ -145,19 +147,36 @@ class TestPMIExact:
 
     def test_guard_counts_search_work(self, monkeypatch):
         # P22 with an end leader: 22 distinct vectors and 23 reachable minima
-        # (the empty suffix's and one per vector), so the search does 23 x 22 steps.
+        # (the empty suffix's and one per vector), so the search does 23 x 22
+        # steps. pmi_exact answers one leader without it, so call it directly.
         monkeypatch.setattr(controllability, "PMI_EXACT_GUARD", 23 * 22)
-        assert len(pmi_exact(path_graph(22), (0,))) == 22
+        assert len(_pmi_search(path_graph(22), (0,))) == 22
         monkeypatch.setattr(controllability, "PMI_EXACT_GUARD", 23 * 22 - 1)
         with pytest.raises(SizeGuardError, match="pmi_greedy"):
-            pmi_exact(path_graph(22), (0,))
+            _pmi_search(path_graph(22), (0,))
 
     def test_long_path_needs_no_recursion(self):
         # Deeper than the interpreter's recursion limit, and far past the
         # 20-vector refusal of a search memoized on the chosen set.
-        seq = pmi_exact(path_graph(1100), (0,))
+        seq = _pmi_search(path_graph(1100), (0,))
         assert seq.nodes() == tuple(range(1100))
         assert is_pmi_oracle(seq.raw_vectors()).ok
+
+    def test_one_leader_equals_the_search(self):
+        for seed in range(30):
+            g = random_connected_graph(4 + seed % 9, 0.3, seed=seed + 900)
+            for leader in {0, g.n // 2, g.n - 1}:
+                assert pmi_exact(g, (leader,)) == _pmi_search(g, (leader,))
+
+    def test_one_leader_needs_no_search(self):
+        # The search took ~2 s here: 1101 reachable minima x 1100 vectors.
+        g = path_graph(1100)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            seq = pmi_exact(g, (0,))
+            elapsed.append(time.perf_counter() - start)
+        assert seq.nodes() == tuple(range(1100)) and min(elapsed) < 0.1
 
     def test_iterator_leaders_match_tuple(self):
         g = cycle_graph(6)

@@ -105,6 +105,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be a JSON list, got '{value}'$"):
             ExperimentConfig.from_json(dict(data, **{field: value}))
 
+    @pytest.mark.parametrize("field, value", [("parameters", "0.2"), ("leader_counts", "2")])
+    def test_python_grid_string_rejected(self, field, value):
+        # Built from Python, "0.2" used to be split into the grid "0", ".", "2".
+        with pytest.raises(ValueError, match=f"^{field} must be a sequence of values, got '{value}'$"):
+            small_config(**{field: value})
+
     @pytest.mark.parametrize(
         "key", ["repetiton", "resample_until_connected", "output_path", "Model"]
     )
