@@ -10,21 +10,23 @@ from pathlib import Path
 
 from netaug import ExperimentConfig, records_to_csv, run_experiment
 
+#: The study's grid; the tests check that it reproduces ensemble_records.csv.
+CONFIG = ExperimentConfig(
+    model="erdos-renyi",
+    n=30,
+    parameters=(0.2, 0.3),
+    leader_counts=(2, 4, 6),
+    instances=10,
+    repetitions=10,
+    master_seed=2024,
+)
+
 
 def main():
     print("Ensemble study (desk scale)")
     print("=" * 40)
 
-    config = ExperimentConfig(
-        model="erdos-renyi",
-        n=30,
-        parameters=(0.2, 0.3),
-        leader_counts=(2, 4, 6),
-        instances=10,
-        repetitions=10,
-        master_seed=2024,
-    )
-    records, aggregates = run_experiment(config)
+    records, aggregates = run_experiment(CONFIG)
 
     out = Path(__file__).with_name("ensemble_records.csv")
     out.write_text(records_to_csv(records))

@@ -339,15 +339,9 @@ def augment_intersection(
     return _result("intersection", g, added, legal, start, pmi_length=len(pmi))
 
 
-def _value_bits(guard_bits: int, w: int) -> int:
-    """The value bits of every ``w``-bit field whose guard bit is set in ``guard_bits``."""
-    return guard_bits - (guard_bits >> (w - 1))
-
-
-def _inert(g: Graph, at: np.ndarray, floor: np.ndarray, legal: np.ndarray):
-    """The pairs of the ``_legal_alone`` mask ``legal`` that keep every
-    monitored distance in every graph the scan can reach, as two int arrays
-    in row-major u < v order.
+def _inert(g: Graph, at: np.ndarray, floor: np.ndarray, legal: np.ndarray) -> np.ndarray:
+    """n x n mask of the pairs of the ``_legal_alone`` mask ``legal`` that keep
+    every monitored distance in every graph the scan can reach.
 
     Every such graph H lies between G and G*, G plus every pair legal alone,
     so ``lb(a, b)``, 0 if a = b, 1 if a and b are adjacent in G* and 2
@@ -357,35 +351,19 @@ def _inert(g: Graph, at: np.ndarray, floor: np.ndarray, legal: np.ndarray):
     sums ``lb(l, x) + 1 + lb(y, v)`` reach at most 5, so a floor above 5
     leaves no such pair and the pass is skipped."""
     if floor.max(initial=0) > 5:
-        none = np.empty(0, dtype=np.intp)
-        return none, none
+        return np.zeros_like(legal)
     sources = at.argmin(axis=0)  # the node at distance 0 in each column
     lb = np.minimum(at, 2 - (legal[:, sources] | legal[sources].T))
-    return np.nonzero(_legal_alone(g, lb, floor)[0])
+    return _legal_alone(g, lb, floor)[0]
 
 
-def augment_randomized(
-    g: Graph,
-    leaders: Sequence[int],
-    pmi: PMISequence,
-    seed: int = 0,
-    repetitions: int = 1,
-) -> AugmentationResult:
-    """Densify by a seeded random scan over missing edges, best of ``repetitions``.
+def _scan(g: Graph, at: np.ndarray, floor: np.ndarray, need: np.ndarray, orders):
+    """Per order, two int lists ``x, y`` of missing pairs, yield the pairs
+    ``(x, y)`` that keep every monitored distance of ``at`` and ``floor`` when
+    added to ``g`` grown by the order so far. Each order starts from ``g``; the
+    tables, ``need`` from ``_legal_alone`` included, are packed once per call.
+    This equals a BFS replay after each insertion; two facts make it cheaper:
 
-    The candidates are the missing node pairs, read row by row from a dense
-    adjacency mask, which lists them in row-major u < v order.
-    Each repetition shuffles them (stream ``default_rng([seed, repetition])``,
-    so enlarging ``repetitions`` never changes earlier repetitions) and
-    accepts an edge iff adding it to the accumulated graph keeps every
-    monitored (leader, node) distance at its original value. The repetition
-    that accepts the most edges wins; ties go to the earliest. The result
-    equals a replay that re-runs BFS from every source after each tentative
-    insertion; two facts make it cheaper:
-
-    - Distances only fall as edges are added, so an edge illegal alone on the
-      input graph stays illegal: ``_legal_alone`` drops those from each
-      shuffled order, and the rest are ``upper_bound_addable``.
     - Each node ``x`` packs its source distances into one int ``P[x]``, one
       ``w``-bit field per source with the field's top (guard) bit set, and
       its thresholds ``need_v(x)`` (see ``_legal_alone``), clamped at 0, into
@@ -408,31 +386,7 @@ def augment_randomized(
       node lowered to ``cap - 1`` or more lowers no neighbour, so its walk
       is skipped; the adjacency sets are built, and brought up to date with
       the accepted edges, only when a walk needs them.
-    - Some pairs need no test. Every graph H a repetition reaches lies
-      between the input graph G and G*, G plus every pair legal alone, so
-      ``lb`` (0 from a node to itself, 1 to a neighbour in G*, else 2) never
-      exceeds a distance in H. A pair that passes the legality test with
-      ``lb`` in place of every distance (``_inert``) is legal in every such
-      H, so every repetition accepts it, and it changes no other decision: a
-      candidate is legal in H iff it is legal in H plus the pair, because
-      the pair stays legal once the candidate is added and distances only
-      fall. The repetitions scan only the other pairs, in the same shuffled
-      order, and the winner's result adds these back; every repetition's
-      count moves by the same number, so the winner, its edges and ``T`` are
-      those of the full scan.
-
-    ``seed`` and ``repetitions`` must be integers, ``repetitions`` >= 1
-    (``ValueError`` otherwise).
     """
-    seed, repetitions = _integer(seed, "seed"), _integer(repetitions, "repetitions", 1)
-    start = time.perf_counter()
-    at, floor = _instance(g, leaders, pmi)
-    legal, need = _legal_alone(g, at, floor)
-    inert = _inert(g, at, floor, legal)
-    lo, hi = np.nonzero(_missing_pairs(g))  # the scan's candidates, row-major u < v
-    alone = legal[lo, hi]  # sums to T
-    legal[inert] = False  # every repetition accepts these: none is tested
-    legal = legal[lo, hi] if inert[0].size else alone
     span = floor - 1  # -1 where leader k is monitored node j
     m, lead = need.shape[1], at.shape[1] - floor.shape[1]
 
@@ -463,6 +417,10 @@ def augment_randomized(
     def pack(rows: list[list[int]]) -> list[int]:
         return [sum(map(lshift, row, shifts)) for row in rows]
 
+    def value_bits(guard_bits: int) -> int:
+        """The value bits of every field whose guard bit is set in ``guard_bits``."""
+        return guard_bits - (guard_bits >> (w - 1))
+
     base_p = pack((at + guard).tolist())
     # The BFS reads and writes per-source distance lists, kept equal to the fields.
     base_cols = at.T.tolist()
@@ -470,15 +428,12 @@ def augment_randomized(
     # spans[k] - d * ones packs guard + span[j, k] - d per monitored node j.
     spans = pack((span.T + guard).tolist())
 
-    best_added: list[Edge] = []
-    for rep in range(repetitions):
-        perm = np.random.default_rng([seed, rep]).permutation(lo.size)
+    for xs, ys in orders:
         packed, need_at = list(base_p), list(base_n)  # P and N of the docstring
         dist = [list(col) for col in base_cols]
         added: list[Edge] = []
         adj, synced = None, 0  # built on the first walk, then kept up to added[:synced]
-        order = perm[legal[perm]]
-        for x, y in zip(lo[order].tolist(), hi[order].tolist()):
+        for x, y in zip(xs, ys):
             px, py = packed[x], packed[y]
             if (py - need_at[x]) & (px - need_at[y]) & guards != guards:
                 continue
@@ -518,15 +473,61 @@ def augment_randomized(
                     col = spans[i - lead]
                     for z in queue:
                         over = col - di[z] * ones
-                        rise = over & _value_bits(over & guards, w)
+                        rise = over & value_bits(over & guards)
                         if rise:
-                            keep = _value_bits(((need_at[z] | guards) - rise) & guards, w)
+                            keep = value_bits(((need_at[z] | guards) - rise) & guards)
                             need_at[z] = rise ^ ((need_at[z] ^ rise) & keep)
-        if len(added) > len(best_added):
-            best_added = added
-    added = chain(best_added, zip(inert[0].tolist(), inert[1].tolist()))
+        yield added
+
+
+def augment_randomized(
+    g: Graph,
+    leaders: Sequence[int],
+    pmi: PMISequence,
+    seed: int = 0,
+    repetitions: int = 1,
+) -> AugmentationResult:
+    """Densify by a seeded random scan over missing edges, best of ``repetitions``.
+
+    The candidates are the missing node pairs, read row by row from a dense
+    adjacency mask, which lists them in row-major u < v order.
+    Each repetition shuffles them (stream ``default_rng([seed, repetition])``,
+    so enlarging ``repetitions`` never changes earlier repetitions) and
+    accepts an edge iff adding it to the accumulated graph keeps every
+    monitored (leader, node) distance at its original value (``_scan``). The
+    repetition that accepts the most edges wins; ties go to the earliest.
+    Two kinds of pair are never tested:
+
+    - Distances only fall as edges are added, so an edge illegal alone on the
+      input graph stays illegal: ``_legal_alone`` drops those from each
+      shuffled order, and the rest are ``upper_bound_addable``.
+    - Every repetition accepts the pairs ``_inert`` marks, and they change no
+      other decision: a candidate is legal in a graph H iff it is legal in H
+      plus such a pair, which stays legal once the candidate is added, as
+      distances only fall. The repetitions scan the other pairs, in the same
+      shuffled order, and the winner's result adds these back, so the
+      winner, its edges and ``T`` are those of the full scan.
+
+    ``seed`` must be an integer >= 0, ``repetitions`` one >= 1 (``ValueError`` otherwise).
+    """
+    seed, repetitions = _integer(seed, "seed", 0), _integer(repetitions, "repetitions", 1)
+    start = time.perf_counter()
+    at, floor = _instance(g, leaders, pmi)
+    legal, need = _legal_alone(g, at, floor)
+    inert = _inert(g, at, floor, legal)
+    lo, hi = np.nonzero(_missing_pairs(g))  # the scan's candidates, row-major u < v
+    legal, inert = legal[lo, hi], inert[lo, hi]  # the n x n masks die here; legal sums to T
+    tested = legal & ~inert
+
+    def order(rep: int) -> tuple[list[int], list[int]]:
+        perm = np.random.default_rng([seed, rep]).permutation(lo.size)
+        keep = perm[tested[perm]]
+        return lo[keep].tolist(), hi[keep].tolist()
+
+    best = max(_scan(g, at, floor, need, map(order, range(repetitions))), key=len)
+    added = chain(best, zip(lo[inert].tolist(), hi[inert].tolist()))
     return _result(
-        "randomized", g, added, alone, start,
+        "randomized", g, added, legal, start,
         pmi_length=len(pmi), seed=seed, repetitions=repetitions,
     )
 

@@ -487,10 +487,11 @@ def validate_ssc_bound(
     ``laplacian`` call on float64 weights: weights below 2**31 and row sums below 2**43
     are exact there, L is symmetric, so ``(-L)^T`` is one negation and only the diagonal
     is reduced per prime. A shortfall re-runs only the short trials of the stack with the
-    second prime. ``bound`` and ``trials`` must be integers >= 1 (``ValueError``
-    otherwise). The graph must be connected, with at most ``DENSE_NODE_GUARD`` nodes.
+    second prime. ``bound`` and ``trials`` must be integers >= 1, ``seed`` one >= 0
+    (``ValueError`` otherwise). The graph must be connected, with at most
+    ``DENSE_NODE_GUARD`` nodes.
     """
-    leaders, seed = _check_leaders(g.n, leaders), _integer(seed, "seed")
+    leaders, seed = _check_leaders(g.n, leaders), _integer(seed, "seed", 0)
     bound, trials = _integer(bound, "claimed bound", 1), _integer(trials, "trials", 1)
     if not is_connected(g):
         raise DisconnectedGraphError("rank validation needs a connected graph")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -45,8 +46,9 @@ class ExperimentConfig:
     a number (``1`` and ``1.0`` are one cell), which would rerun the same
     trials. Every setting is checked at construction, the grid values by the
     ``GenSpec`` each trial draws from; any bad value raises ``ValueError``.
-    NumPy scalars are stored as the Python numbers they hold (``.item()``), so
-    a config reproduces the trial seeds, CSV and JSON of its JSON form.
+    A grid, any iterable but a string or a mapping, is stored as a tuple and
+    NumPy scalars as the Python numbers they hold (``.item()``), so a config
+    reproduces the trial seeds, CSV and JSON of its JSON form.
     Defaults are desk scale; the paper-scale study sets ``instances`` to 100
     and ``repetitions`` to 150.
     """
@@ -61,15 +63,16 @@ class ExperimentConfig:
     measure_runtime: bool = False
 
     def __post_init__(self):
+        plain = lambda v: v.item() if isinstance(v, np.generic) else v
         for name in ("parameters", "leader_counts"):  # a string would be split into characters
-            if isinstance(grid := getattr(self, name), str):
+            grid = getattr(self, name)
+            if isinstance(grid, (str, Mapping)) or not isinstance(grid, Iterable):
                 raise ValueError(f"{name} must be a sequence of values, got {grid!r}")
-        if not self.parameters:
-            raise ValueError("parameter grid must not be empty")
+            object.__setattr__(self, name, tuple(map(plain, grid)))
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         for value in self.parameters:
             _spec(self, value, 0)
-        if not self.leader_counts:
-            raise ValueError("leader count list must not be empty")
         for count in self.leader_counts:
             if not 1 <= _integer(count, "leader_counts entry") <= self.n:
                 raise ValueError(f"leader count {count} impossible for n={self.n}")
@@ -77,11 +80,8 @@ class ExperimentConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"{name} repeats the value {repeated[0]!r}")
-        plain = lambda v: v.item() if isinstance(v, np.generic) else v
         numbers = {
             "n": int(self.n),  # checked by GenSpec
-            "parameters": tuple(map(plain, self.parameters)),
-            "leader_counts": tuple(map(int, self.leader_counts)),
             "instances": _integer(self.instances, "instances", 1),
             "repetitions": _integer(self.repetitions, "repetitions", 1),
             "master_seed": _integer(self.master_seed, "master_seed"),
@@ -97,7 +97,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
         """The config whose fields are the keys of ``data``; a missing required
-        field raises ``KeyError``, an unknown one or a grid that is not a list ``ValueError``."""
+        field raises ``KeyError``, an unknown one ``ValueError``."""
         values = {
             f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING
         }
@@ -108,10 +108,8 @@ class ExperimentConfig:
         for name in ("n", "instances", "repetitions", "master_seed"):
             if name in values:
                 values[name] = _json_int(values[name], name)
-        for name in ("parameters", "leader_counts"):  # a string would be split into characters
-            if not isinstance(values[name], list):
-                raise ValueError(f"{name} must be a JSON list, got {values[name]!r}")
-        values["leader_counts"] = [_json_int(x, "leader_counts entry") for x in values["leader_counts"]]
+        if isinstance(counts := values["leader_counts"], list):  # __post_init__ refuses the rest
+            values["leader_counts"] = [_json_int(x, "leader_counts entry") for x in counts]
         return cls(**values)
 
     def to_json(self) -> dict:

@@ -389,26 +389,34 @@ def optimum_oracle(g: Graph, pairs) -> tuple[int, frozenset]:
     return len(added), added
 
 
+def reference_scan(g: Graph, leaders, pmi, order) -> list:
+    """The pairs of ``order``, a list of missing pairs, that a scan from ``g``
+    accepts, in order: each pair is added tentatively and kept iff full BFS
+    from every leader still gives every monitored (leader, PMI node)
+    distance of ``g``."""
+    pairs = [(ell, v) for ell in leaders for v in pmi.nodes() if ell != v]
+    d0 = {(ell, v): bfs_distances(g, ell)[v] for ell, v in pairs}
+    current = set(g.edges)
+    added = []
+    for edge in order:
+        h = Graph(g.n, current | {edge})
+        if all(bfs_distances(h, ell)[v] == d0[(ell, v)] for ell, v in pairs):
+            current.add(edge)
+            added.append(edge)
+    return added
+
+
 def reference_randomized_scan(g: Graph, leaders, pmi, seed: int, repetitions: int):
     """Pure-BFS replay of the randomized scan, for oracle-equivalence checks.
 
-    Uses the same shuffle streams as augment_randomized but re-runs full BFS
-    from every leader after tentatively adding each candidate edge.
+    Uses the same shuffle streams as augment_randomized over every missing
+    pair and replays each with ``reference_scan``; the first largest wins.
     """
     comp = sorted(complement_edges(g))
-    pairs = [(ell, v) for ell in leaders for v in pmi.nodes() if ell != v]
-    d0 = {(ell, v): bfs_distances(g, ell)[v] for ell, v in pairs}
     best: list | None = None
     for rep in range(repetitions):
         rng = np.random.default_rng([seed, rep])
-        order = [comp[i] for i in rng.permutation(len(comp))]
-        current = set(g.edges)
-        added = []
-        for edge in order:
-            h = Graph(g.n, current | {edge})
-            if all(bfs_distances(h, ell)[v] == d0[(ell, v)] for ell, v in pairs):
-                current.add(edge)
-                added.append(edge)
+        added = reference_scan(g, leaders, pmi, [comp[i] for i in rng.permutation(len(comp))])
         if best is None or len(added) > len(best):
             best = added
     assert best is not None

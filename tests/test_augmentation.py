@@ -29,7 +29,7 @@ from netaug import (
     success_probability_bound,
 )
 from netaug import augmentation
-from netaug.augmentation import _BLOCK_ROWS, _chain, _inert, _instance, _legal_alone
+from netaug.augmentation import _BLOCK_ROWS, _chain, _inert, _instance, _legal_alone, _scan
 from netaug.graphs import DENSE_NODE_GUARD
 from helpers import (
     all_pairs_min_plus,
@@ -47,6 +47,7 @@ from helpers import (
     reference_chain,
     reference_legal_alone,
     reference_randomized_scan,
+    reference_scan,
     shortcut_legal_oracle,
     star_graph,
     with_edges,
@@ -501,6 +502,12 @@ class TestRandomized:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             augment_randomized(g, (0,), pmi_setup(g, (0,)), **{name: value})
 
+    def test_negative_seed_names_itself(self):
+        # NumPy's own refusal of a negative stream seed names neither the argument nor the value.
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            augment_randomized(g, (0,), pmi_setup(g, (0,)), seed=-1)
+
     def test_numpy_integer_arguments_report_python_ints(self):
         g = star_graph(4)
         res = augment_randomized(g, (0,), pmi_setup(g, (0,)), seed=np.int64(3),
@@ -657,8 +664,7 @@ def inert_pairs(g, leaders, seq):
     """The pairs legal alone that the scan adds without testing them."""
     at, floor = _instance(g, leaders, seq)
     legal, _ = _legal_alone(g, at, floor)
-    x, y = _inert(g, at, floor, legal)
-    return set(zip(x.tolist(), y.tolist()))
+    return set(zip(*(side.tolist() for side in np.nonzero(_inert(g, at, floor, legal)))))
 
 
 @st.composite
@@ -718,14 +724,35 @@ class TestInertPairs:
         inert = _inert
 
         def one_more(g, at, floor, legal):
-            x, y = inert(g, at, floor, legal)
-            taken = set(zip(x.tolist(), y.tolist()))
-            extra = next(p for p in zip(*np.nonzero(legal)) if tuple(p) not in taken)
+            mask = inert(g, at, floor, legal)
+            extra = next(p for p in zip(*np.nonzero(legal)) if not mask[p])
             assert tuple(map(int, extra)) == (0, 6) and (0, 6) not in expected
-            return np.append(x, extra[0]), np.append(y, extra[1])
+            mask[extra] = True
+            return mask
 
         monkeypatch.setattr(augmentation, "_inert", one_more)
         assert augment_randomized(g, leaders, seq, seed=1).edges_after != expected
+
+
+class TestScanKernel:
+    """``_scan`` takes any orders of missing pairs, inert pairs and pairs
+    illegal alone included, and scans each one from the input graph."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(scan_instances(), inert_instances()), st.data())
+    def test_each_order_equals_the_replay(self, instance, data):
+        g, leaders, seq = instance
+        at, floor = _instance(g, leaders, seq)
+        _, need = _legal_alone(g, at, floor)
+        missing = sorted(complement_edges(g))
+        orders = []
+        for _ in range(2):  # a permutation of a random subset of the missing pairs
+            order = data.draw(st.permutations(missing))
+            orders.append(order[: data.draw(st.integers(0, len(order)))])
+        expected = [reference_scan(g, leaders, seq, order) for order in orders]
+        split = [([x for x, _ in order], [y for _, y in order]) for order in orders]
+        assert list(_scan(g, at, floor, need, split)) == expected
+        assert list(_scan(g, at, floor, need, [])) == []
 
 
 class TestUpperBound:

@@ -230,6 +230,13 @@ class TestExitCodes:
         assert capsys.readouterr().out == default.read_text() != seeded.read_text()
         assert _build_parser() is parser
 
+    @pytest.mark.parametrize("command", [["augment", "--algorithm", "random"], ["validate"]])
+    def test_negative_seed_is_domain_error(self, star6, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        assert cli(command + ["-g", star6, "--leaders", "0", "--seed", "-1", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_domain_error_disconnected(self, tmp_path):
         path = tmp_path / "two.txt"
         path.write_text("n 2\n")
@@ -303,7 +310,7 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"model": "erdos-renyi", "n": 8, "parameters": "0.2", "leader_counts": [2]}))
         assert cli(["experiment", "-c", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {cfg}: parameters must be a JSON list, got '0.2'\n"
+        assert err == f"error: {cfg}: parameters must be a sequence of values, got '0.2'\n"
 
     def test_config_fractional_attachment_count_is_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -538,6 +538,11 @@ class TestValidateBound:
         with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
             validate_ssc_bound(path_graph(3), (0,), bound=3, trials=2, seed=seed)
 
+    def test_negative_seed_names_itself(self):
+        # NumPy's own refusal of a negative stream seed names neither the argument nor the value.
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            validate_ssc_bound(path_graph(3), (0,), bound=3, trials=2, seed=-1)
+
     def test_numpy_integer_trials_report_a_python_int(self):
         report = validate_ssc_bound(path_graph(3), (0,), bound=3, trials=np.int64(2))
         assert report.trials == 2 and type(report.trials) is int and len(report.ranks) == 2

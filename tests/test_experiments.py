@@ -1,6 +1,10 @@
+import csv
 import dataclasses
+import importlib.util
+import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,13 +106,40 @@ class TestConfig:
     def test_json_grid_string_rejected(self, field, value):
         # A string would be split into characters: "0.2" read as the grid "0", ".", "2".
         data = {"model": "erdos-renyi", "n": 8, "parameters": [0.4], "leader_counts": [2]}
-        with pytest.raises(ValueError, match=f"^{field} must be a JSON list, got '{value}'$"):
+        with pytest.raises(ValueError, match=f"^{field} must be a sequence of values, got '{value}'$"):
             ExperimentConfig.from_json(dict(data, **{field: value}))
 
     @pytest.mark.parametrize("field, value", [("parameters", "0.2"), ("leader_counts", "2")])
     def test_python_grid_string_rejected(self, field, value):
         # Built from Python, "0.2" used to be split into the grid "0", ".", "2".
         with pytest.raises(ValueError, match=f"^{field} must be a sequence of values, got '{value}'$"):
+            small_config(**{field: value})
+
+    def test_iterator_grid_kept(self):
+        # Checking the grid used to consume an iterator, so the config kept no
+        # cell and ran no trial.
+        config = small_config(parameters=iter([0.5]), leader_counts=iter([2]))
+        assert (config.parameters, config.leader_counts) == ((0.5,), (2,))
+        records, aggregates = run_experiment(config)
+        assert len(records) == 3 and len(aggregates) == 1
+        with pytest.raises(ValueError, match="^parameters must not be empty$"):
+            small_config(parameters=iter([]))
+
+    def test_numpy_array_grid_stored_as_python_numbers(self):
+        # An array grid used to fail on its ambiguous truth value.
+        config = small_config(parameters=np.array([0.3, 0.5]), leader_counts=np.array([2, 3]))
+        listed = small_config(parameters=[0.3, 0.5], leader_counts=[2, 3])
+        assert config == listed
+        assert [type(v) for v in config.parameters + config.leader_counts] == [float, float, int, int]
+        seeds = lambda cfg: [r.seed for r in run_experiment(cfg)[0]]
+        assert seeds(config) == seeds(listed)
+
+    @pytest.mark.parametrize("field, value", [("parameters", {0.5: 1}), ("leader_counts", {2: 1}),
+                                              ("leader_counts", 2)])
+    def test_mapping_or_scalar_grid_rejected(self, field, value):
+        # A dict used to raise TypeError ("unhashable type: 'slice'").
+        with pytest.raises(ValueError, match=f"^{field} must be a sequence of values, got "
+                                             f"{re.escape(repr(value))}$"):
             small_config(**{field: value})
 
     @pytest.mark.parametrize(
@@ -281,3 +312,24 @@ class TestCSV:
         kirchhoff_field = row.split(",")[11]
         mantissa = kirchhoff_field.replace(".", "").lstrip("0")
         assert len(mantissa) <= 6
+
+
+class TestEnsembleDemo:
+    """``demos/ensemble_study.py`` writes ``demos/ensemble_records.csv``, which is
+    committed: 60 ER(30) trials at c = 10, a larger ensemble than A9's."""
+
+    def test_config_reproduces_the_committed_csv(self):
+        demos = Path(__file__).resolve().parents[1] / "demos"
+        spec = importlib.util.spec_from_file_location("ensemble_study", demos / "ensemble_study.py")
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        got = list(csv.reader(io.StringIO(records_to_csv(run_experiment(demo.CONFIG)[0]))))
+        expected = list(csv.reader(io.StringIO((demos / "ensemble_records.csv").read_text())))
+        assert len(got) == len(expected) == 61 and got[0] == expected[0]
+        for row, want in zip(got[1:], expected[1:]):
+            for column, value, pinned in zip(got[0], row, want):
+                # The last digits of the Kirchhoff indices depend on the LAPACK build.
+                if column.startswith("kirchhoff_"):
+                    assert float(value) == pytest.approx(float(pinned), rel=1e-5), column
+                else:
+                    assert value == pinned, column
