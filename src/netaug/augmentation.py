@@ -17,8 +17,8 @@ Everything here reads two int tables: ``at``, BFS distances from the pair's
 ends or from each PMI node and leader, checked once as they are computed
 (``DisconnectedGraphError`` names a node some source cannot reach), and
 ``floor``, the distance each (leader, monitored node) pair must keep.
-``level_partition`` returns the levels as a tuple of node tuples, which
-``build_clique_chain`` takes back.
+``level_partition`` returns one pair's levels as a tuple of node tuples;
+``augment_pair`` returns the clique chain over them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral, Real
+from numbers import Real
 from operator import lshift
 from typing import Sequence
 
@@ -47,7 +47,6 @@ __all__ = [
     "AugmentationResult",
     "classify_fixed_nodes",
     "level_partition",
-    "build_clique_chain",
     "augment_pair",
     "augment_intersection",
     "augment_randomized",
@@ -133,8 +132,8 @@ def _levels(dist_a: np.ndarray, dist_b: np.ndarray, k: int) -> np.ndarray:
 
 
 def level_partition(g: Graph, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """Split all nodes into the k+1 levels used by the clique-chain construction,
-    level 0 being ``(a,)``; every node must be reachable from the pair.
+    """Split all nodes into the k+1 levels whose clique chain ``augment_pair``
+    returns, level 0 being ``(a,)``; every node must be reachable from the pair.
 
     Geodesic nodes sit at their distance from ``a``; an off-geodesic node
     keeps its distance from whichever endpoint is within the near half,
@@ -145,26 +144,6 @@ def level_partition(g: Graph, a: int, b: int) -> tuple[tuple[int, ...], ...]:
     for v, level in enumerate(_levels(dist_a, dist_b, k).tolist()):
         levels[level].append(v)
     return tuple(map(tuple, levels))
-
-
-def build_clique_chain(levels: Sequence[Sequence[int]]) -> frozenset[Edge]:
-    """All within-level plus consecutive-level edges over the levels, which must
-    hold distinct non-negative integer node ids (not bools), at most
-    ``DENSE_NODE_GUARD``."""
-    flat = [v for level in levels for v in level]
-    non_integer = [v for v in flat if isinstance(v, bool) or not isinstance(v, Integral)]
-    if non_integer:
-        raise ValueError(f"node {non_integer[0]!r} is not an integer in the levels")
-    nodes = np.array(flat, dtype=np.intp)
-    ids, counts = np.unique(nodes, return_counts=True)
-    bad = ids[(ids < 0) | (counts > 1)]
-    if bad.size:
-        raise ValueError(f"node {bad[0]} is negative or repeated in the levels")
-    _guard_dense(nodes.size, "the clique chain")
-    level = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
-    i, j = np.nonzero(np.triu(np.abs(level[:, None] - level[None, :]) <= 1, 1))
-    u, w = nodes[i], nodes[j]
-    return frozenset(zip(np.minimum(u, w).tolist(), np.maximum(u, w).tolist()))
 
 
 #: Rows x of the n x n pair masks one packed pass tests at once; its two uint64
@@ -212,26 +191,26 @@ def _packed_at_least(top: np.ndarray, low: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _legal_alone(g: Graph, at: np.ndarray, floor: np.ndarray):
-    """n x n mask of the missing pairs ``x < y`` that keep every monitored
-    distance of the ``_instance`` tables when added alone; its sum is ``T``.
+def _legal_alone(missing: np.ndarray, at: np.ndarray, floor: np.ndarray):
+    """Narrow ``missing``, an n x n mask of candidate pairs ``x < y`` such as
+    ``_missing_pairs``, in place to those that keep every monitored distance
+    of the ``_instance`` tables when added alone; its sum is then ``T``.
     Edge ``(x, y)`` is legal iff ``d_v(y) >= need_v(x)`` and ``d_v(x) >=
     need_v(y)`` for every monitored ``v``, with ``need_v(x) = max_l(d(l, v) -
     d_l(x) - 1)`` over the leaders, clamped at 0 (a floor of 0 adds nothing).
     One packed pass (``_packed_at_least``) fills an n x n mask ``ok[x, y]``
     with the first half for every node pair, distances capped at the largest
     threshold, so the cost is O(n^2 * monitored / fields per word) whatever
-    the number of missing pairs. Returns ``ok & ok.T & missing`` and ``need``."""
+    the number of missing pairs. Returns ``missing`` and ``need``."""
     lead = at.shape[1] - floor.shape[1]
-    need = np.zeros((g.n, floor.shape[0]), dtype=np.intp)  # one leader at a time: O(n * m)
+    need = np.zeros((at.shape[0], floor.shape[0]), dtype=np.intp)  # one leader at a time: O(n * m)
     for k in range(floor.shape[1]):
         np.maximum(need, floor[:, k] - 1 - at[:, lead + k, None], out=need)
     # No test tells apart distances at or above the largest threshold.
     ok = _packed_at_least(np.minimum(at[:, : need.shape[1]], need.max(initial=0)), need)
-    legal = _missing_pairs(g)
-    legal &= ok
-    legal &= ok.T
-    return legal, need
+    missing &= ok
+    missing &= ok.T
+    return missing, need
 
 
 def _result(
@@ -252,10 +231,11 @@ def _result(
     )
 
 
-def _chain(g: Graph, at: np.ndarray, floor: np.ndarray):
+def _chain(missing: np.ndarray, at: np.ndarray, floor: np.ndarray):
     """The missing pairs in the clique chain (ends at most one level apart) of
     every (leader, monitored node) pair with a nonzero floor, tested among the
-    pairs legal alone, which hold every chain edge; and the ``_legal_alone`` mask.
+    pairs legal alone, which hold every chain edge; and ``missing`` once
+    ``_legal_alone`` has narrowed it to those pairs.
 
     The legal mask is ANDed, into a new mask, with one packed pass
     (``_packed_at_least``) over the levels of every pair at once: ``ok[x, y]``
@@ -263,7 +243,7 @@ def _chain(g: Graph, at: np.ndarray, floor: np.ndarray):
     holds iff no pair puts x and y more than one level apart. The levels are
     int16 (n x pairs). The surviving pairs come out of ``np.nonzero`` in
     row-major u < v order."""
-    legal, _ = _legal_alone(g, at, floor)
+    legal, _ = _legal_alone(missing, at, floor)
     lead = at.shape[1] - floor.shape[1]
     # Distances are below n <= DENSE_NODE_GUARD, so int16 holds them and the levels.
     dist, j, k = at.astype(np.int16), *np.nonzero(floor)
@@ -285,7 +265,7 @@ def augment_pair(g: Graph, a: int, b: int) -> AugmentationResult:
     start = time.perf_counter()
     dist_a, dist_b, k = _pair_distances(g, a, b)
     at, floor = np.column_stack((dist_b, dist_a)), np.array([[k]])  # monitored b, leader a
-    return _result("clique-chain", g, *_chain(g, at, floor), start)
+    return _result("clique-chain", g, *_chain(_missing_pairs(g), at, floor), start)
 
 
 def _instance(g: Graph, leaders: Sequence[int], pmi: PMISequence) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +301,8 @@ def addable_edge_upper_bound(g: Graph, leaders: Sequence[int], pmi: PMISequence)
     only fall, so no distance-preserving augmentation adds more than ``T``
     edges. It is the ``total_legal`` of ``success_probability_bound``.
     """
-    return int(_legal_alone(g, *_instance(g, leaders, pmi))[0].sum())
+    at, floor = _instance(g, leaders, pmi)
+    return int(_legal_alone(_missing_pairs(g), at, floor)[0].sum())
 
 
 def augment_intersection(
@@ -335,11 +316,12 @@ def augment_intersection(
     leader) the result is the complete graph.
     """
     start = time.perf_counter()
-    added, legal = _chain(g, *_instance(g, leaders, pmi))
+    at, floor = _instance(g, leaders, pmi)
+    added, legal = _chain(_missing_pairs(g), at, floor)
     return _result("intersection", g, added, legal, start, pmi_length=len(pmi))
 
 
-def _inert(g: Graph, at: np.ndarray, floor: np.ndarray, legal: np.ndarray) -> np.ndarray:
+def _inert(at: np.ndarray, floor: np.ndarray, legal: np.ndarray) -> np.ndarray:
     """n x n mask of the pairs of the ``_legal_alone`` mask ``legal`` that keep
     every monitored distance in every graph the scan can reach.
 
@@ -354,7 +336,7 @@ def _inert(g: Graph, at: np.ndarray, floor: np.ndarray, legal: np.ndarray) -> np
         return np.zeros_like(legal)
     sources = at.argmin(axis=0)  # the node at distance 0 in each column
     lb = np.minimum(at, 2 - (legal[:, sources] | legal[sources].T))
-    return _legal_alone(g, lb, floor)[0]
+    return _legal_alone(legal.copy(), lb, floor)[0]
 
 
 def _scan(g: Graph, at: np.ndarray, floor: np.ndarray, need: np.ndarray, orders):
@@ -513,9 +495,10 @@ def augment_randomized(
     seed, repetitions = _integer(seed, "seed", 0), _integer(repetitions, "repetitions", 1)
     start = time.perf_counter()
     at, floor = _instance(g, leaders, pmi)
-    legal, need = _legal_alone(g, at, floor)
-    inert = _inert(g, at, floor, legal)
-    lo, hi = np.nonzero(_missing_pairs(g))  # the scan's candidates, row-major u < v
+    legal = _missing_pairs(g)  # narrowed in place by _legal_alone
+    lo, hi = np.nonzero(legal)  # the scan's candidates, row-major u < v
+    legal, need = _legal_alone(legal, at, floor)
+    inert = _inert(at, floor, legal)
     legal, inert = legal[lo, hi], inert[lo, hi]  # the n x n masks die here; legal sums to T
     tested = legal & ~inert
 

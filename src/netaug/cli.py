@@ -43,7 +43,11 @@ def _read_graph(path: str, guard: str | None = None) -> Graph:
     more nodes than its distinct edges can connect is refused before any per-node
     allocation, after the size guard named by ``guard`` if the caller has one."""
     with open(path, "r", encoding="utf-8") as handle:
-        g = parse_edge_list(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    g = parse_edge_list(text)
     if guard is not None:
         _guard_dense(g.n, guard)
     if g.n > g.num_edges() + 1:
@@ -52,11 +56,12 @@ def _read_graph(path: str, guard: str | None = None) -> Graph:
 
 
 def _read_json(path: str, loader):
-    """``loader`` applied to the JSON in ``path``; a missing field, a value of
-    the wrong shape or one the loader refuses is a domain error naming ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    """``loader`` applied to the JSON in ``path``; text that does not decode or
+    parse, a missing field, a value of the wrong shape or one the loader
+    refuses is a domain error naming ``path``."""
     try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
         return loader(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None

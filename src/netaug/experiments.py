@@ -191,9 +191,8 @@ def run_experiment(
     """Run the full grid; returns per-trial records plus per-cell means.
 
     Per trial: draw a connected graph, pick leaders uniformly without
-    replacement, compute the greedy PMI sequence, run both augmenters and the
-    addable-edge bound, and score robustness before and after. Fully
-    deterministic given the config.
+    replacement, compute the greedy PMI sequence, run both augmenters, and
+    score robustness before and after. Fully deterministic given the config.
     """
     records: list[ExperimentRecord] = []
     for parameter in config.parameters:

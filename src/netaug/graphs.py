@@ -309,7 +309,7 @@ def laplacian(n: int, u, v, weights) -> np.ndarray:
     once; no edges give the zero matrix (or stack). A node count that is not an
     integer (bools included), unequal lengths, endpoint arrays that are not
     integer, a self-loop, an endpoint outside ``0..n-1`` or a weight that is not
-    positive raise ``ValueError``; guarded to ``n <= DENSE_NODE_GUARD``.
+    positive and finite raise ``ValueError``; guarded to ``n <= DENSE_NODE_GUARD``.
     """
     n = _integer(n, "node count")
     u, v, weights = np.asarray(u), np.asarray(v), np.asarray(weights)
@@ -326,8 +326,9 @@ def laplacian(n: int, u, v, weights) -> np.ndarray:
         raise ValueError(f"self-loop on node {u[u == v][0]} is not allowed")
     if u.size and not (0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n):
         raise ValueError(f"edge endpoint out of range for n={n}")
-    if not np.all(weights > 0):
-        raise ValueError(f"edge weights must be positive, got {weights[~(weights > 0)][0]}")
+    bad = ~((weights > 0) & (weights < np.inf))
+    if bad.any():
+        raise ValueError(f"edge weights must be positive and finite, got {weights[bad][0]}")
     _guard_dense(n, "the dense Laplacian")
     stack = weights.shape[:-1]
     lap = np.zeros((*stack, n, n), dtype=weights.dtype)

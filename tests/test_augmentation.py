@@ -20,7 +20,6 @@ from netaug import (
     augment_pair,
     augment_randomized,
     bfs_distances,
-    build_clique_chain,
     classify_fixed_nodes,
     generate,
     kirchhoff_index,
@@ -30,7 +29,7 @@ from netaug import (
 )
 from netaug import augmentation
 from netaug.augmentation import _BLOCK_ROWS, _chain, _inert, _instance, _legal_alone, _scan
-from netaug.graphs import DENSE_NODE_GUARD
+from netaug.graphs import DENSE_NODE_GUARD, _missing_pairs
 from helpers import (
     all_pairs_min_plus,
     bfs_oracle,
@@ -111,33 +110,13 @@ class TestLevelPartition:
         for seed in range(10):
             g = random_connected_graph(8, 0.35, seed=seed + 60)
             levels = level_partition(g, 0, 7)
-            chain = build_clique_chain(levels)
+            chain = augment_pair(g, 0, 7).edges_after
             assert g.edges <= chain
             sizes = [len(level) for level in levels]
             expected = sum(s * (s - 1) // 2 for s in sizes) + sum(
                 sizes[i] * sizes[i + 1] for i in range(len(sizes) - 1)
             )
             assert len(chain) == expected
-
-    def test_chain_over_node_ids_not_covering_a_range(self):
-        levels = ((5,), (2, 9), (7,))
-        assert build_clique_chain(levels) == {(2, 9), (2, 5), (5, 9), (2, 7), (7, 9)}
-
-    @pytest.mark.parametrize(
-        "levels, node",
-        [(((0,), (1, 0), (2,)), 0), (((3,), (4,), (4,)), 4), (((-1,), (2,)), -1)],
-    )
-    def test_chain_rejects_repeated_or_negative_node(self, levels, node):
-        with pytest.raises(ValueError, match=f"node {node} "):
-            build_clique_chain(levels)
-
-    @pytest.mark.parametrize("node", [2.5, 2.0, "2", None, True])
-    def test_chain_rejects_non_integer_node(self, node):
-        with pytest.raises(ValueError, match=f"node {node!r} is not an integer"):
-            build_clique_chain(((0,), (node,)))
-
-    def test_chain_accepts_numpy_integer_ids(self):
-        assert build_clique_chain(((np.int64(0),), (np.int32(2),))) == {(0, 2)}
 
 
 class TestAugmentPair:
@@ -188,8 +167,6 @@ class TestAugmentPair:
         g = path_graph(DENSE_NODE_GUARD + 1)
         with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
             augment_pair(g, 0, 1)
-        with pytest.raises(SizeGuardError, match=f"n <= {DENSE_NODE_GUARD}"):
-            build_clique_chain(level_partition(g, 0, 1))
 
     def test_node_unreachable_from_pair(self):
         for g, b in ((Graph(4, [(0, 1), (1, 2)]), 2), (Graph(3, [(0, 1)]), 1)):
@@ -255,9 +232,8 @@ class TestBruteForce:
             da, db = bfs_distances(best, 0), bfs_distances(best, b)
             assert all(da[v] + db[v] == k for v in range(6))
             levels = [tuple(sorted(v for v in range(6) if da[v] == i)) for i in range(k + 1)]
-            chain = build_clique_chain(level_partition(best, 0, b))
             assert level_partition(best, 0, b) == tuple(levels)
-            assert chain == best.edges
+            assert intersection_oracle(best, [(0, b)]) == best.edges
 
 
 def pmi_setup(g, leaders):
@@ -322,7 +298,7 @@ class TestAgainstOptimum:
         size, added = optimum_oracle(g, [(0, 1)])
         assert (size, len(augment_pair(g, 0, 1).added)) == (9, 8)
         best = with_edges(g, added)
-        assert build_clique_chain(level_partition(best, 0, 1)) == best.edges
+        assert intersection_oracle(best, [(0, 1)]) == best.edges
 
 
 class TestIntersection:
@@ -663,8 +639,8 @@ class TestRandomizedCaps:
 def inert_pairs(g, leaders, seq):
     """The pairs legal alone that the scan adds without testing them."""
     at, floor = _instance(g, leaders, seq)
-    legal, _ = _legal_alone(g, at, floor)
-    return set(zip(*(side.tolist() for side in np.nonzero(_inert(g, at, floor, legal)))))
+    legal, _ = _legal_alone(_missing_pairs(g), at, floor)
+    return set(zip(*(side.tolist() for side in np.nonzero(_inert(at, floor, legal)))))
 
 
 @st.composite
@@ -723,8 +699,8 @@ class TestInertPairs:
         assert augment_randomized(g, leaders, seq, seed=1).edges_after == expected
         inert = _inert
 
-        def one_more(g, at, floor, legal):
-            mask = inert(g, at, floor, legal)
+        def one_more(at, floor, legal):
+            mask = inert(at, floor, legal)
             extra = next(p for p in zip(*np.nonzero(legal)) if not mask[p])
             assert tuple(map(int, extra)) == (0, 6) and (0, 6) not in expected
             mask[extra] = True
@@ -743,7 +719,7 @@ class TestScanKernel:
     def test_each_order_equals_the_replay(self, instance, data):
         g, leaders, seq = instance
         at, floor = _instance(g, leaders, seq)
-        _, need = _legal_alone(g, at, floor)
+        _, need = _legal_alone(_missing_pairs(g), at, floor)
         missing = sorted(complement_edges(g))
         orders = []
         for _ in range(2):  # a permutation of a random subset of the missing pairs
@@ -888,13 +864,34 @@ class TestDenseMasks:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            # Measured 7.68 MB for the intersection and 5.73 MB for the bound
+            # Measured 7.68 MB for the intersection and 6.73 MB for the bound
             # (99 PMI nodes, 498 401 missing pairs): each n x n bool mask is
-            # 1 MB and the packed words 1-2 MB. The missing pairs as two int
+            # 1 MB and the packed words 1-2 MB; the bound holds the candidate
+            # mask through the packed pass. The missing pairs as two int
             # arrays, or one int64 n x n temporary, would add 8 MB. The scan
             # measured 17.5 MB, as before the inert pass (2566 missing pairs,
             # 2565 legal alone and inert).
             assert peak < bound, run.__name__
+
+    @pytest.mark.parametrize("run", ["pair", "intersection", "randomized", "bound"])
+    def test_one_missing_pair_mask_per_call(self, monkeypatch, run):
+        g, leaders = random_connected_graph(12, 0.4, seed=7), (0, 5)
+        seq = pmi_setup(g, leaders)
+        calls = {
+            "pair": lambda: augment_pair(g, 0, 5),
+            "intersection": lambda: augment_intersection(g, leaders, seq),
+            "randomized": lambda: augment_randomized(g, leaders, seq, seed=1, repetitions=3),
+            "bound": lambda: addable_edge_upper_bound(g, leaders, seq),
+        }
+        built = []
+
+        def counted(graph):
+            built.append(graph)
+            return _missing_pairs(graph)
+
+        monkeypatch.setattr(augmentation, "_missing_pairs", counted)
+        calls[run]()
+        assert built == [g]
 
 
 @st.composite
@@ -923,10 +920,10 @@ class TestPackedMasks:
     @given(packed_tables())
     def test_masks_and_edge_order_match_the_per_pair_loops(self, tables):
         g, at, floor = tables
-        got, want = _legal_alone(g, at, floor), reference_legal_alone(g, at, floor)
+        got, want = _legal_alone(_missing_pairs(g), at, floor), reference_legal_alone(g, at, floor)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-        added, legal = _chain(g, at, floor)
+        added, legal = _chain(_missing_pairs(g), at, floor)
         assert list(added) == reference_chain(g, at, floor)
         assert np.array_equal(legal, want[0])
 

@@ -374,6 +374,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pmi_file}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "role, content",
+        [("config", b'{\n,}'), ("pmi", b"[\n,]"), ("pmi", b"\xff[]"), ("graph", b"n 6\n0 1\xff\n")],
+        ids=["config-json", "pmi-json", "pmi-utf8", "graph-utf8"],
+    )
+    def test_file_that_does_not_decode_is_named(self, star6, tmp_path, capsys, role, content):
+        bad, out = tmp_path / "bad", tmp_path / "out"
+        bad.write_bytes(content)
+        pmi_file = tmp_path / "pmi.json"
+        pmi_file.write_text(json.dumps([{"node": 1, "vector": [1], "witness": 0}]))
+        argv = {
+            "config": ["experiment", "-c", str(bad)],
+            "pmi": ["augment", "-g", star6, "--leaders", "0", "--pmi", str(bad)],
+            "graph": ["augment", "-g", str(bad), "--leaders", "0", "--pmi", str(pmi_file)],
+        }[role]
+        assert cli(argv + ["-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pmi", "augment", "validate"])
     def test_duplicate_lines_counted_once(self, tmp_path, capsys, command):
         # Three edge lines but one distinct edge: too few to connect four nodes.

@@ -464,8 +464,8 @@ class TestLaplacian:
             laplacian(3, *path_graph(3)._arrays, [1.0])
 
     def test_nonpositive_weight_rejected(self):
-        for bad in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError, match="positive"):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
                 laplacian(3, *path_graph(3)._arrays, [1.0, bad])
 
     @pytest.mark.parametrize(
