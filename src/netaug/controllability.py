@@ -332,12 +332,16 @@ def _rank_mod(
     trial's RREF basis (one product), eliminate within it (one rank-1 update per pivot
     row), clear the new pivot columns from the basis (one product per slab of at most
     n / 4 basis rows, subtracted in place, so its temporaries stay a fraction of the
-    stack), append the new rows and step them (one product). The basis is held as
-    float64 residues, the operand its products read. The first block is the inputs in
-    every trial, so it is eliminated once, for the whole stack; when its pivot rows are
-    unit rows ``e_c`` (leader indicators are), its step is rows c of each step matrix and
-    its reduction zeroes columns c, with no product, and a basis slab that is zero in the
-    new pivot columns is not cleared.
+    stack), append the block whole and step it (one product). The basis, float64 residues
+    as its products read them, holds each block's rows that have a pivot in some trial, in
+    block order; a row is zero, with pivot 0, in a trial without a pivot in it, so it
+    changes no reduction or clear. It thus holds at most the trials' pivot total (those
+    past a stop included); when the trials' pivots fall in the same rows, as they do for
+    generic weights, that is the most pivots one trial finds, at most n. The first block
+    is the inputs in every trial, so it is eliminated once, for the whole stack; when its
+    pivot rows are unit rows ``e_c`` (leader indicators are), its step is rows c of each
+    step matrix and its reduction zeroes columns c, with no product, and a basis slab that
+    is zero in the new pivot columns is not cleared.
 
     A trial stops after a block that adds no pivot, or, with a ``target``, after the first
     block that brings its proved rank to at least ``target`` (it may overshoot by less than
@@ -348,9 +352,8 @@ def _rank_mod(
     pivots, so it stops within n + 1 blocks. A run that finds more than n pivots or
     reaches block n + 2 has wrong products and raises ``RuntimeError``."""
     count, n = steps.shape[0], steps.shape[-1]
-    found = np.zeros(count, dtype=np.int64)  # pivots so far
-    ranks, stopped = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
-    # A trial's rows first, then zero rows; pivot 0 beside a zero row.
+    found, stopped = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
+    # Each block's kept rows in block order; zero, with pivot 0, in a trial without a pivot there.
     basis, pivots = np.zeros((count, 0, n)), np.zeros((count, 0), dtype=np.intp)
     slab = max(1, n // 4)  # basis rows cleared per product
     block = inputs[None].copy()  # every trial's first block: eliminated once, for the stack
@@ -358,19 +361,17 @@ def _rank_mod(
     unit = np.count_nonzero(block) == new.sum()  # its pivot rows are unit rows e_c
     new, cols, block = (np.broadcast_to(x, (count, *x.shape[1:])) for x in (new, cols, block))
     for _ in range(n + 1):
-        added = new.sum(axis=1)
+        added = np.where(stopped, 0, new.sum(axis=1))  # a stopped trial's count is final
         found += added
         if found.max() > n:
             break
-        ranks[~stopped] = found[~stopped]
         stopped |= added == 0
         if target is not None:
             stopped |= found >= target
         if stopped.all():
-            return ranks
+            return found
         rows = new.any(axis=0)
-        block, new, cols = block[:, rows], new[:, rows], cols[:, rows]
-        # Zero rows (no pivot in that trial) change nothing.
+        block, cols = block[:, rows], cols[:, rows]
         top, step = basis.shape[1], block.astype(np.float64)
         for first in range(0, top, slab):
             part = basis[:, first : min(first + slab, top)]
@@ -378,13 +379,7 @@ def _rank_mod(
             if coef.any():  # rows e_c are zero in every later pivot column
                 part -= _mulmod(coef.astype(np.int64), step, prime)
                 np.add(part, prime, out=part, where=part < 0)
-        size = (count, int(found.max()))
-        grown, grown_pivots = np.zeros((*size, n)), np.zeros(size, dtype=np.intp)
-        grown[:, :top], grown_pivots[:, :top] = basis, pivots
-        trial, j = np.nonzero(new)  # each trial's new rows go right after its old ones
-        slot = (found - added)[trial] + np.cumsum(new, axis=1)[trial, j] - 1
-        grown[trial, slot], grown_pivots[trial, slot] = block[trial, j], cols[trial, j]
-        basis, pivots = grown, grown_pivots
+        basis, pivots = np.concatenate((basis, step), axis=1), np.concatenate((pivots, cols), axis=1)
         if unit:  # e_c times a step is its row c; reducing it against the e_c zeroes columns c
             block = steps[:, cols[0]].astype(np.int64)
             block[:, :, cols[0]] = 0
@@ -416,7 +411,7 @@ def controllability_rank(laplacian: np.ndarray, inputs: np.ndarray) -> int:
 
 def _stack_ranks(steps: np.ndarray, inputs: np.ndarray, bound: int) -> np.ndarray:
     """Ranks proved at each trial's own stop for a stack of Laplacians with integer weights
-    below 2**31 (one ``_rank_mod`` pass per prime).
+    below ``_PRIME`` (one ``_rank_mod`` pass per prime).
 
     Turns the stack into steps ``(-L)^T`` in place: L is symmetric, so that is one
     negation, the off-diagonal weights are residues for both primes, and only the

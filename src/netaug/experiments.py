@@ -166,8 +166,9 @@ def trial_seed(master_seed: int, model: str, parameter, num_leaders: int, trial:
 
 def _spec(config: ExperimentConfig, parameter, seed: int) -> GenSpec:
     """The ``GenSpec`` a trial of ``parameter`` draws from. The config keeps
-    its parameters uncast, since ``trial_seed`` hashes their repr."""
-    if config.model == "erdos-renyi":
+    its parameters uncast, since ``trial_seed`` hashes their repr. Any model
+    but Barabasi-Albert goes to ``GenSpec`` as is, which names an unknown one."""
+    if config.model != "barabasi-albert":
         return GenSpec(model=config.model, n=config.n, p=parameter, seed=seed)
     gamma = _json_int(parameter, "attachment count")
     return GenSpec(model=config.model, n=config.n, gamma=gamma, seed=seed)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,16 @@ class TestClassifyFixedNodes:
     def test_unreachable_pair(self):
         with pytest.raises(DisconnectedGraphError):
             classify_fixed_nodes(Graph(4, [(0, 1), (2, 3)]), 0, 2)
+
+
+@pytest.mark.parametrize("pair_function", [augment_pair, level_partition, classify_fixed_nodes])
+@pytest.mark.parametrize("a, b, message", [
+    (2, 2, r"^pair nodes must differ, got \(2,2\)$"),
+    (0, 4, "^node 4 out of range for n=4$"),
+])
+def test_pair_nodes_checked(pair_function, a, b, message):
+    with pytest.raises(ValueError, match=message):
+        pair_function(path_graph(4), a, b)
 
 
 class TestLevelPartition:
@@ -361,13 +372,15 @@ class TestIntersection:
         [
             (lambda seq: (seq.vectors, (99,) + seq.witnesses[1:]),
              "witness 99 for node 0 is outside 0..1"),
+            (lambda seq: (seq.vectors, (2,) + seq.witnesses[1:]),
+             "witness 2 for node 0 is outside 0..1"),
             (lambda seq: (seq.vectors, (1,) + seq.witnesses[1:]),
              "witness 1 for node 0 does not hold"),
             (lambda seq: (seq.vectors[:1] + seq.vectors, seq.witnesses[:1] + seq.witnesses),
              "witness 0 for node 0 does not hold"),
             (lambda seq: (seq.vectors, seq.witnesses[:-1]), "4 vectors but 3 witnesses"),
         ],
-        ids=["out-of-range", "false", "repeated-node", "count"],
+        ids=["out-of-range", "leader-count", "false", "repeated-node", "count"],
     )
     def test_carried_witnesses_checked(self, edit, message):
         # A sequence checks its witnesses when it is built, so no augmenter sees a bad one.
@@ -979,6 +992,11 @@ class TestSuccessProbabilityBound:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             success_probability_bound(*args)
 
+    @pytest.mark.parametrize("ratio", [0, 1.5])
+    def test_ratio_outside_unit_interval_rejected(self, ratio):
+        with pytest.raises(ValueError, match=rf"^ratio must lie in \(0, 1\], got {ratio}$"):
+            success_probability_bound(10, 5, ratio, 3)
+
     @pytest.mark.parametrize("ratio", [True, "0.5", None])
     def test_ratio_must_be_a_real_number(self, ratio):
         with pytest.raises(ValueError, match=f"^ratio must be a real number, got {ratio!r}$"):
@@ -1006,6 +1024,27 @@ class TestResultSerialization:
         assert data["edges_before"] == 4
         assert res.to_json(include_runtime=True)["runtime_ms"] >= 0.0
         assert data["added_edges"] == sorted(data["added_edges"])
+
+    def test_runtime_is_within_the_wall_time_of_the_call(self):
+        g, leaders = random_connected_graph(14, 0.3, seed=4), (0, 13)
+        seq = pmi_setup(g, leaders)
+        calls = [
+            lambda: augment_pair(g, 0, 13),
+            lambda: augment_intersection(g, leaders, seq),
+            lambda: augment_randomized(g, leaders, seq, seed=1, repetitions=3),
+        ]
+        for call in calls:
+            start = time.perf_counter()
+            res = call()
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            assert 0.0 <= res.runtime_ms <= wall_ms
+
+    def test_randomized_defaults_to_one_repetition(self):
+        g, leaders = random_connected_graph(14, 0.3, seed=4), (0, 13)
+        seq = pmi_setup(g, leaders)
+        res = augment_randomized(g, leaders, seq, seed=5)
+        assert res.repetitions == 1
+        assert res.to_json() == augment_randomized(g, leaders, seq, seed=5, repetitions=1).to_json()
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_edge_fields_are_frozensets_matching_the_json(self, seed):

@@ -58,6 +58,7 @@ class TestGen:
             (["--model", "er", "--n", "0", "--p", "0.5"], "node count must be positive"),
             (["--model", "er", "--n", "5", "--p", "0.5", "--seed", "-1"], "64-bit unsigned"),
             (["--model", "ba", "--n", "5", "--gamma", "5"], "1 <= gamma < n"),
+            (["--model", "ba", "--n", "5"], "--gamma is required for the barabasi-albert model"),
         ],
     )
     def test_bad_value_is_domain_error(self, flags, message, capsys):
@@ -113,6 +114,10 @@ class TestAugment:
         assert cli(args + ["-o", str(a)]) == 0
         assert cli(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_repetitions_default_to_30(self, star6, capsys):
+        assert cli(["augment", "-g", star6, "--leaders", "0", "--algorithm", "random"]) == 0
+        assert json.loads(capsys.readouterr().out)["c"] == 30
 
 
 class TestAugmentJson:
@@ -311,6 +316,15 @@ class TestExitCodes:
         assert cli(["experiment", "-c", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {cfg}: parameters must be a sequence of values, got '0.2'\n"
+
+    @pytest.mark.parametrize("parameter", [0.5, 2])
+    def test_config_unknown_model_is_named(self, tmp_path, capsys, parameter):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({"model": "watts-strogatz", "n": 10, "parameters": [parameter],
+                                   "leader_counts": [2]}))
+        assert cli(["experiment", "-c", str(cfg), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown model 'watts-strogatz'\n"
+        assert not out.exists()
 
     def test_config_fractional_attachment_count_is_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

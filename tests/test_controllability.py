@@ -92,6 +92,11 @@ class TestDistanceVectors:
             with pytest.raises(ValueError, match="leaders must be distinct"):
                 search(path_graph(3), (0, 0))
 
+    def test_empty_leaders_rejected(self):
+        for check in (pmi_greedy, pmi_exact, lambda g, leaders: validate_ssc_bound(g, leaders, 1)):
+            with pytest.raises(ValueError, match="^at least one leader is required$"):
+                check(path_graph(3), ())
+
 
 class TestIsPMI:
     """The PMI condition as ``PMISequence`` checks it, on examples the scalar
@@ -610,6 +615,27 @@ class TestStackedValidation:
             stack = laplacian(leaves + 1, u, v, weights.astype(np.float64))
             ranks = _stack_ranks(stack, inputs.T.astype(np.int64), bound)
             assert ranks.tolist() == [min(r, bound) for r in full]  # one pivot per block
+
+    def test_second_prime_raises_a_short_rank(self):
+        # Leader 0 with three arms 0-x-y, weighted (a, b) on (0x, xy). An arm's block of L
+        # has trace a + 2b and determinant ab; the arm (2b, (a + p) / 2) matches them modulo
+        # p only, so the two arms share their eigenvalues there and the rank drops by 2.
+        # Trial 0 twins arm 1 modulo _PRIME, which the re-run modulo 2**31 - 1 undoes;
+        # trial 1 twins it modulo both primes and stays short. Row sums pass 2**31.
+        g = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        u, v = g._arrays  # (0,1), (0,3), (0,5), (1,2), (3,4), (5,6)
+        a, b = 2**30 + 1, 2**29
+        half = {p: (a + p) // 2 for p in (_PRIME, 2**31 - 1)}
+        weights = np.array([
+            [a, 2 * b, 3, b, half[_PRIME], 5],
+            [a, 2 * b, 2 * b, b, half[_PRIME], half[2**31 - 1]],
+        ])
+        inputs = input_matrix(7, (0,))
+        primes = (None, _PRIME, 2**31 - 1)
+        full = [[krylov_rank_oracle(laplacian(7, u, v, w), inputs, prime=p) for p in primes] for w in weights]
+        assert full == [[7, 5, 7], [7, 5, 5]]
+        stack = laplacian(7, u, v, weights.astype(np.float64))
+        assert _stack_ranks(stack, inputs.T.astype(np.int64), 7).tolist() == [7, 5]
 
     def test_ragged_stacks_match_single_trial_runs(self):
         # Inputs e_0, e_1 and generic steps gain two pivots per block; where e_1 is a left

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from netaug import (
+    DisconnectedGraphError,
     ExperimentConfig,
     aggregates_to_csv,
     records_to_csv,
     run_experiment,
     trial_seed,
 )
+from netaug.experiments import MAX_RESAMPLE_ATTEMPTS
 
 
 def small_config(**overrides):
@@ -38,8 +40,10 @@ class TestConfig:
             small_config(leader_counts=(11,))
 
     def test_bad_model_rejected(self):
-        with pytest.raises(ValueError):
-            small_config(model="watts-strogatz")
+        # Named whether the grid value reads as an edge probability or an attachment count.
+        for parameters in ((0.5,), (2,)):
+            with pytest.raises(ValueError, match="^unknown model 'watts-strogatz'$"):
+                small_config(model="watts-strogatz", parameters=parameters)
 
     def test_instances_validated(self):
         with pytest.raises(ValueError):
@@ -227,6 +231,12 @@ class TestTrialSeed:
 
 
 class TestRunExperiment:
+    def test_gives_up_on_a_model_that_never_connects(self):
+        config = small_config(n=5, parameters=(0.0,), leader_counts=(1,), instances=1)
+        message = f"^no connected sample in {MAX_RESAMPLE_ATTEMPTS} attempts"
+        with pytest.raises(DisconnectedGraphError, match=message):
+            run_experiment(config)
+
     def test_complete_graphs(self):
         records, aggregates = run_experiment(small_config(parameters=(1.0,)))
         assert len(records) == 3

@@ -334,6 +334,17 @@ class TestGenSpec:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             GenSpec(**fields)
 
+    def test_seed_defaults_to_zero(self):
+        assert GenSpec(model="erdos-renyi", n=5, p=0.5).seed == 0
+
+    @pytest.mark.parametrize("generator, spec, expected", [
+        (erdos_renyi, dict(model="barabasi-albert", n=5, gamma=2), "erdos-renyi"),
+        (barabasi_albert, dict(model="erdos-renyi", n=5, p=0.5), "barabasi-albert"),
+    ])
+    def test_generator_refuses_the_other_model(self, generator, spec, expected):
+        with pytest.raises(ValueError, match=f"^spec model is '{spec['model']}', expected '{expected}'$"):
+            generator(GenSpec(**spec))
+
     def test_numpy_integer_fields_accepted(self):
         spec = GenSpec(model="barabasi-albert", n=np.int64(12), gamma=np.int32(3),
                        seed=np.uint64(2**64 - 1))
@@ -514,6 +525,16 @@ class TestEdgeListIO:
     def test_self_loop_line_number(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
             parse_edge_list("n 2\n0 0")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        ("n x\n0 1\n", "node count is not an integer: 'x'"),
+        ("n 0\n", "node count must be positive, got 0"),
+    ])
+    def test_bad_header_names_line_one(self, text, message):
+        with pytest.raises(EdgeListParseError, match=f"^line 1: {message}") as info:
+            parse_edge_list(text)
+        assert info.value.line == 1
 
     def test_malformed_token_line_number(self):
         with pytest.raises(EdgeListParseError, match="line 3"):
